@@ -1,8 +1,6 @@
 """E13 — micro-ablations.
 
-* ``ITΣ`` (paper-faithful annotated interval tree, ``O(log² n)``) vs the
-  coverage profile (``O(log n)``) on the ``ComputeSumD`` primitive and
-  end-to-end on ``ReportSUMPair``;
+* the coverage profile (``O(log n)``) on the ``ComputeSumD`` primitive;
 * the delay-guaranteed enumerator (Remark 2): maximum inter-yield work
   stays flat while ``n`` grows.
 """
@@ -11,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.enumeration import DelayGuaranteedEnumerator
-from repro.temporal import AnnotatedIntervalTree, CoverageProfile
+from repro.temporal import CoverageProfile
 
-from helpers import TAU, sum_index, triangle_index
+from helpers import TAU, triangle_index
 
 
 def _random_intervals(n, seed=0):
@@ -22,10 +20,9 @@ def _random_intervals(n, seed=0):
     return [(float(s), float(s + l)) for s, l in zip(starts, rng.uniform(0, 100, n))]
 
 
-@pytest.mark.parametrize("cls", [AnnotatedIntervalTree, CoverageProfile])
-def test_compute_sum_primitive(benchmark, cls):
+def test_compute_sum_primitive(benchmark):
     ivs = _random_intervals(4000)
-    struct = cls(ivs)
+    struct = CoverageProfile(ivs)
     rng = np.random.default_rng(1)
     queries = [(float(a), float(a + w)) for a, w in
                zip(rng.uniform(0, 1000, 200), rng.uniform(1, 200, 200))]
@@ -34,17 +31,7 @@ def test_compute_sum_primitive(benchmark, cls):
         return sum(struct.sum_intersections(a, b) for a, b in queries)
 
     benchmark(run)
-    benchmark.extra_info["structure"] = cls.__name__
     benchmark.group = "E13 ComputeSumD primitive (4000 intervals, 200 queries)"
-
-
-@pytest.mark.parametrize("sum_backend", ["profile", "tree"])
-def test_sum_pair_end_to_end(benchmark, sum_backend):
-    idx = sum_index(800, sum_backend=sum_backend)
-    result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
-    benchmark.extra_info["sum_backend"] = sum_backend
-    benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E13 ReportSUMPair backend ablation (n=800)"
 
 
 @pytest.mark.parametrize("n", [400, 800, 1600])

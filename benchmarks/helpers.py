@@ -8,8 +8,7 @@ batch``), so the bench harness measures exactly the code a serving
 workload runs — and ``ENGINE.stats`` exposes how often a round reused
 a preprocessing pass.
 
-Sizes are chosen for pure Python (see DESIGN.md: the ``repro = 3/5``
-band rules out C extensions offline): large enough that the predicted
+Sizes are chosen for pure Python: large enough that the predicted
 shapes — slopes, crossovers, output-sensitivity — are visible, small
 enough that the whole suite finishes in minutes.
 """
@@ -52,10 +51,8 @@ def linf_index(n: int):
     return ENGINE.get_index(workload(n, "linf"), spec)
 
 
-def sum_index(n: int, sum_backend: str = "profile"):
-    spec = QuerySpec(
-        kind="pairs-sum", taus=TAU, epsilon=EPSILON, sum_backend=sum_backend
-    )
+def sum_index(n: int):
+    spec = QuerySpec(kind="pairs-sum", taus=TAU, epsilon=EPSILON)
     return ENGINE.get_index(workload(n), spec)
 
 

@@ -28,7 +28,6 @@ SPECS = [
     {"kind": "triangles", "taus": [4.0, 8.0, 12.0], "label": "tri-sweep"},
     {"kind": "triangles", "tau": 8.0, "epsilon": 0.25, "label": "tri-tight"},
     {"kind": "pairs-sum", "tau": 8.0, "label": "sum"},
-    {"kind": "pairs-sum", "tau": 8.0, "sum_backend": "tree", "label": "sum-tree"},
     {"kind": "pairs-union", "tau": 8.0, "kappa": 3, "label": "union"},
     {"kind": "cliques", "tau": 6.0, "m": 3, "label": "triads"},
     {"kind": "stars", "tau": 6.0, "m": 3, "label": "stars"},

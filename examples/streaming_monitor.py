@@ -86,7 +86,7 @@ def run_served(tps):
         "dataset": "stream",
         "queries": [
             {"kind": "triangles", "tau": TAU, "epsilon": EPSILON,
-             "backend": "grid"}
+             "backend": "vector"}
         ],
     }
 
@@ -199,7 +199,7 @@ def main() -> None:
 
     offline = default_engine().run(
         tps, QuerySpec(kind="triangles", taus=TAU, epsilon=EPSILON,
-                       backend="grid")
+                       backend="vector")
     )
     fresh = {r.key for r in offline.records}
     assert served == fresh, (

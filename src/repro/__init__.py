@@ -17,8 +17,8 @@ Quick start::
     tps = TemporalPointSet(pts, starts, starts + 10, metric="l2")
     triangles = find_durable_triangles(tps, tau=5.0, epsilon=0.5)
 
-See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
-reproduced claims.
+See DESIGN.md for the paper-to-module map and the implementation notes
+that code comments cite.
 """
 
 from .errors import (

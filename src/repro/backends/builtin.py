@@ -1,32 +1,26 @@
-"""The built-in backends: cover tree, grid, exact ℓ∞ range tree, vector.
+"""The built-in backends: cover tree, exact ℓ∞ range tree, vector.
 
-Each :func:`register_builtin_backends` call installs four descriptors:
+Each :func:`register_builtin_backends` call installs three descriptors:
 
 * ``cover-tree`` — the paper's general-metric net hierarchy
   (Appendix A).  Serves every query kind under any metric; the safe
   default and the only choice for opaque :class:`~repro.geometry.
   metrics.FunctionMetric` distances.
-* ``grid`` — the one-level quadtree of Remark 1 / Appendix D.1.
-  Serves every query kind but only under ``ℓ_α`` metrics
-  (``supports_grid``); builds ~4–5× faster than the cover tree on such
-  inputs (see ``BENCH_backends.json``), which is why the cost model
-  usually picks it for ``auto``.
 * ``linf-exact`` — the exact ℓ∞ triangle reporter of Appendix B
   (Algorithm 5, Theorem B.3).  Triangles only, ℓ∞ only, and the only
   backend with an exactness guarantee, so ``auto`` promotes eligible
   triangle queries to it.
-* ``vector`` — the structure-of-arrays backend
-  (:mod:`repro.backends.vector`): the same grid cells as ``grid`` but
-  built and queried by batched numpy kernels.  Record sets are
-  identical to ``grid``'s; the calibrated cost model prices it below
-  the object-graph backends on ``ℓ_α`` inputs, so ``auto`` usually
-  picks it there.
+* ``vector`` — the one-level quadtree of Remark 1 / Appendix D.1 for
+  ``ℓ_α`` metrics (``supports_grid``), built and queried by the
+  batched numpy kernels of :mod:`repro.backends.vector`.  Record sets
+  are identical to the object-graph solvers run over the same grid
+  cells; the calibrated cost model prices it below the cover tree on
+  ``ℓ_α`` inputs, so ``auto`` picks it there.
 
-The hooks reproduce the historical planner's cache identities
-bit-for-bit: for every pre-existing backend name the
-:class:`~repro.engine.cache.IndexKey` a descriptor emits equals what
-``repro.engine.planner`` produced before the registry existed
-(asserted by ``tests/test_backends.py::TestKeyStability``).
+The identity hooks mint one :class:`~repro.engine.cache.IndexKey` per
+``(family, dataset fingerprint, ε, backend)``; the keys are pinned
+bit-for-bit by ``tests/test_backends.py::TestKeyStability`` so cache
+identities stay stable across releases.
 
 Index-class imports happen inside the hooks: the core solvers import
 :mod:`repro.structures.durable_ball`, which consults this registry for
@@ -64,15 +58,14 @@ _ALL_KINDS = frozenset(_FAMILY)
 
 
 def _spatial_identity(name: str) -> Callable[["QuerySpec", str], IndexKey]:
-    """Identity hook for a durable-ball backend — must stay bit-identical
-    to the historical planner keys (same family, ε, backend, extras)."""
+    """Identity hook for a durable-ball backend: ``(family, fp, ε, name)``
+    (pinned by ``TestKeyStability``)."""
 
     def identity(spec: "QuerySpec", fingerprint: str) -> IndexKey:
         family = _FAMILY.get(spec.kind)
         if family is None:  # pragma: no cover - spec already validates kinds
             raise ValidationError(f"unknown query kind {spec.kind!r}")
-        extra = (spec.sum_backend,) if spec.kind == "pairs-sum" else ()
-        return IndexKey(family, fingerprint, spec.epsilon, name, extra)
+        return IndexKey(family, fingerprint, spec.epsilon, name)
 
     return identity
 
@@ -98,12 +91,7 @@ def _spatial_builder(
         if kind == "pairs-sum":
             from ..core.aggregate import SumPairIndex
 
-            return lambda: SumPairIndex(
-                tps,
-                epsilon=spec.epsilon,
-                backend=name,
-                sum_backend=spec.sum_backend,
-            )
+            return lambda: SumPairIndex(tps, epsilon=spec.epsilon, backend=name)
         if kind == "pairs-union":
             from ..core.aggregate import UnionPairIndex
 
@@ -165,9 +153,7 @@ def _vector_builder(
     if kind == "pairs-sum":
         from .vector import VectorSumPairIndex
 
-        return lambda: VectorSumPairIndex(
-            tps, epsilon=spec.epsilon, sum_backend=spec.sum_backend
-        )
+        return lambda: VectorSumPairIndex(tps, epsilon=spec.epsilon)
     if kind == "pairs-union":
         from .vector import VectorUnionPairIndex
 
@@ -186,12 +172,6 @@ def _cover_tree_factory(points, metric, resolution):
     from ..covertree.ball_query import CoverTreeDecomposition
 
     return CoverTreeDecomposition(points, metric, resolution)
-
-
-def _grid_factory(points, metric, resolution):
-    from ..quadtree.tree import GridDecomposition
-
-    return GridDecomposition(points, metric, resolution)
 
 
 def _vector_factory(points, metric, resolution):
@@ -227,19 +207,6 @@ def register_builtin_backends(registry: BackendRegistry) -> BackendRegistry:
             metric_requirement="any metric",
             metric_ok=lambda metric: True,
             decomposition_factory=_cover_tree_factory,
-        ),
-        replace=True,
-    )
-    registry.register(
-        spatial_descriptor(
-            "grid",
-            description=(
-                "one-level quadtree cells (Remark 1); fastest build on "
-                "lp inputs"
-            ),
-            metric_requirement="lp metrics (grid cells)",
-            metric_ok=lambda metric: bool(metric.supports_grid),
-            decomposition_factory=_grid_factory,
         ),
         replace=True,
     )

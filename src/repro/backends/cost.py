@@ -67,19 +67,16 @@ class BackendCoefficients:
 
 
 #: Calibrated via ``benchmarks/bench_backends.py`` (see module
-#: docstring).  The relative ordering is what matters: the grid builds
-#: ~4–5× faster than the cover tree on ℓ_α inputs and answers candidate
-#: queries with one vectorised pass, while the exact ℓ∞ range tree is
-#: the costliest build but the cheapest (and only exact) reporter.  The
-#: ``vector`` row is from the n=5000 calibration run behind
-#: ``BENCH_backends.json``: its SoA queries run ~3–17× below the grid's
-#: (query 1.5e-06 is the fitted value) and its build is a handful of
-#: lexsorts — priced here at the measured *cold* first build (the bench
-#: itself reports near-zero because the layout is cached per dataset
-#: fingerprint).
+#: docstring).  The relative ordering is what matters: the exact ℓ∞
+#: range tree is the costliest build but a cheap (and the only exact)
+#: reporter.  The ``vector`` row is from the n=5000 calibration run
+#: behind ``BENCH_backends.json``: its SoA queries run ~3–17× below the
+#: object-graph solvers over the same grid cells (query 1.5e-06 is the
+#: fitted value) and its build is a handful of lexsorts — priced here at
+#: the measured *cold* first build (the bench itself reports near-zero
+#: because the layout is cached per dataset fingerprint).
 DEFAULT_COEFFICIENTS: Mapping[str, BackendCoefficients] = {
     "cover-tree": BackendCoefficients(build=2.6e-06, query=1.1e-05),
-    "grid": BackendCoefficients(build=5.5e-07, query=7.5e-06),
     "linf-exact": BackendCoefficients(build=5.0e-06, query=6.0e-06),
     "vector": BackendCoefficients(build=1.1e-07, query=1.5e-06),
 }

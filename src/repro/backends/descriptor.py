@@ -54,7 +54,7 @@ class BackendDescriptor:
     Parameters
     ----------
     name:
-        Registry name (``"cover-tree"``, ``"grid"``, ``"linf-exact"``,
+        Registry name (``"cover-tree"``, ``"vector"``, ``"linf-exact"``,
         or a custom name).  This string is also the ``backend`` field of
         every :class:`~repro.engine.cache.IndexKey` the backend's
         ``index_identity`` hook produces, so renaming a backend

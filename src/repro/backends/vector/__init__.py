@@ -3,8 +3,8 @@
 Registered on the backend registry as ``backend="vector"`` (see
 :func:`repro.backends.builtin.register_builtin_backends`).  Serves all
 four shared-index families under ``ℓ_α`` metrics with record sets
-identical to the ``grid`` backend, from flat-array structures instead of
-per-point object graphs:
+identical to the object-graph solvers over the same grid cells, from
+flat-array structures instead of per-point object graphs:
 
 * :mod:`.soa` — the SoA snapshot + CSR grid-cell layout (cached per
   dataset fingerprint) and the blocked distance kernels;

@@ -30,9 +30,10 @@ over the shared :class:`~repro.backends.vector.soa.SoALayout`:
 * :class:`VectorPatternIndex` — the Appendix D reporters over batched
   per-(τ, radius) anchor contexts and a vectorised link table.
 
-Record sets are identical to the legacy ``grid`` backend's for every
-family (the canonical cells coincide), which the three-way hypothesis
-parity harness in ``tests/test_backends.py`` asserts.
+Record sets are identical to those of the legacy object-graph solvers
+run over the same grid cells (``SumPairIndex(tps, ε, backend="vector")``
+and friends) for every family, which the three-way hypothesis parity
+harness in ``tests/test_backends.py`` asserts.
 
 All four implement ``maintained()`` — the layout recompute over the
 merged set is vectorised and produces the canonical cell order a fresh
@@ -50,7 +51,7 @@ import numpy as np
 from ...core.aggregate import SumPairIndex, UnionPairIndex
 from ...core.patterns import PatternIndex
 from ...core.triangles import DurableTriangleIndex
-from ...errors import BackendError, ValidationError
+from ...errors import ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
 from ...temporal.interval import Interval
 from ...temporal.max_overlap import MaxOverlapIndex
@@ -284,7 +285,8 @@ def transfer_cell_cache(
 # Triangles
 # ----------------------------------------------------------------------
 class VectorTriangleIndex(DurableTriangleIndex):
-    """Algorithm 1 over SoA kernels (record-identical to ``grid``)."""
+    """Algorithm 1 over SoA kernels (record-identical to the object-graph
+    solver over the same grid cells)."""
 
     def __init__(
         self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
@@ -485,27 +487,17 @@ class LazyOverlaps:
 # SUM pairs
 # ----------------------------------------------------------------------
 class VectorSumPairIndex(SumPairIndex):
-    """Algorithm 4 with batched partner *and* witness scoring.
-
-    ``sum_backend`` is accepted for cache-identity symmetry with the
-    legacy class; both values compute through the coverage-profile
-    arrays (the two legacy structures are output-identical by design,
-    so the records are too).
-    """
+    """Algorithm 4 with batched partner *and* witness scoring."""
 
     def __init__(
         self,
         tps: TemporalPointSet,
         epsilon: float = 0.5,
         backend: str = "vector",
-        sum_backend: str = "profile",
     ) -> None:
-        if sum_backend not in ("profile", "tree"):
-            raise BackendError(f"unknown sum backend {sum_backend!r}")
         self.tps = tps
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
-        self.sum_backend = sum_backend
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
         self._sums = LazyProfiles(self.structure.layout)
 
@@ -514,7 +506,6 @@ class VectorSumPairIndex(SumPairIndex):
         clone.tps = tps
         clone.epsilon = self.epsilon
         clone.backend = self.backend
-        clone.sum_backend = self.sum_backend
         clone.structure = self.structure.extended(tps)
         clone._sums = LazyProfiles(clone.structure.layout)
         clone._sums.cache.update(

@@ -40,7 +40,7 @@ def max_kappa_coverage(
     Dynamic program over intervals sorted by right endpoint with state
     (count used, rightmost covered point).  For minimal optimal subsets
     the marginal-gain telescoping equals the true union length, so the
-    maximum over states is exact; see DESIGN.md.
+    maximum over states is exact (DESIGN.md note 3).
     """
     if kappa < 1:
         raise ValidationError(f"kappa must be >= 1, got {kappa!r}")

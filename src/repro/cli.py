@@ -834,7 +834,7 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
                 if not hasattr(idx, "count"):
                     raise ValidationError(
                         "--count-only needs the approximate triangle index; "
-                        "pass --backend cover-tree or grid (the resolved "
+                        "pass --backend cover-tree or vector (the resolved "
                         "exact backend enumerates instead of counting)"
                     )
                 count = _timed("count", lambda: idx.count(args.tau), out)

@@ -10,8 +10,8 @@ Section 5.1 / Appendix E).
 
 * **SUM** (:class:`SumPairIndex`): the witness aggregate is
   ``Σ_u |I_u ∩ I_p ∩ I_q|`` computed by ``ComputeSumD`` over per-ball
-  SUM structures.  Both the paper-faithful annotated interval tree and
-  the coverage-profile fast path are available (DESIGN.md note 4).
+  coverage profiles, which answer the query with output identical to
+  the paper's annotated interval tree ``ITΣ`` (DESIGN.md note 4).
 
 * **UNION** (:class:`UnionPairIndex`): Algorithm 8 — the greedy
   max-κ-coverage loop over per-ball ``IT∪`` structures, reporting a pair
@@ -26,14 +26,14 @@ exclusion lists for UNION.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Literal, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BackendError, ValidationError
+from ..errors import ValidationError
 from ..structures.durable_ball import DurableBallStructure, resolve_backend
 from ..temporal.max_overlap import MaxOverlapIndex
-from ..temporal.sum_index import AnnotatedIntervalTree, CoverageProfile
+from ..temporal.sum_index import CoverageProfile
 from ..types import PairRecord, TemporalPointSet
 
 __all__ = ["SumPairIndex", "UnionPairIndex"]
@@ -81,14 +81,9 @@ class SumPairIndex(_AggregateBase):
     Reports every pair with ``φ(p,q) ≤ 1``, ``|I_p ∩ I_q| ≥ τ`` and
     witness sum ``Σ_{u ∉ {p,q}} |I_u ∩ I_p ∩ I_q| ≥ τ``, plus possibly
     some ε-pairs satisfying the same aggregates under distances
-    ``≤ 1 + ε``.
-
-    Parameters
-    ----------
-    sum_backend:
-        ``"profile"`` (coverage profile, ``O(log n)`` per ComputeSumD) or
-        ``"tree"`` (paper-faithful ``ITΣ``, ``O(log² n)``); identical
-        outputs (experiment E13 benchmarks the difference).
+    ``≤ 1 + ε``.  Each canonical ball carries a
+    :class:`~repro.temporal.sum_index.CoverageProfile`, so one
+    ``ComputeSumD`` costs ``O(log n)``.
     """
 
     def __init__(
@@ -96,22 +91,14 @@ class SumPairIndex(_AggregateBase):
         tps: TemporalPointSet,
         epsilon: float = 0.5,
         backend: str = "auto",
-        sum_backend: Literal["profile", "tree"] = "profile",
     ) -> None:
         super().__init__(tps, epsilon, backend)
-        if sum_backend == "profile":
-            factory = CoverageProfile
-        elif sum_backend == "tree":
-            factory = AnnotatedIntervalTree
-        else:
-            raise BackendError(f"unknown sum backend {sum_backend!r}")
-        self.sum_backend = sum_backend
         self._sums: List = []
         for g in self.structure.groups:
             spans = [
                 (float(tps.starts[i]), float(tps.ends[i])) for i in g.member_ids
             ]
-            self._sums.append(factory(spans))
+            self._sums.append(CoverageProfile(spans))
 
     def cache_key(self) -> tuple:
         """Engine-cache identity (see :mod:`repro.engine.cache`)."""
@@ -120,7 +107,6 @@ class SumPairIndex(_AggregateBase):
             self.tps.fingerprint(),
             self.epsilon,
             self.backend,
-            self.sum_backend,
         )
 
     def maintained(self, tps: TemporalPointSet) -> Optional["SumPairIndex"]:
@@ -130,8 +116,8 @@ class SumPairIndex(_AggregateBase):
         durable-ball structure extends in place when its decomposition
         supports it (the grid does), and the per-ball SUM structures are
         rebuilt *only* for canonical groups whose membership changed —
-        untouched groups share their coverage profiles / annotated
-        trees with this instance by reference.  Returns ``None`` when
+        untouched groups share their coverage profiles with this
+        instance by reference.  Returns ``None`` when
         the decomposition cannot extend (cover tree), in which case the
         cache entry is invalidated for an exactly-once rebuild.  This
         instance is never mutated.
@@ -144,10 +130,6 @@ class SumPairIndex(_AggregateBase):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = structure
-        clone.sum_backend = self.sum_backend
-        factory = (
-            CoverageProfile if self.sum_backend == "profile" else AnnotatedIntervalTree
-        )
         sums: List = list(self._sums)
         sums.extend([None] * (len(structure.groups) - len(sums)))
         old_indexes = self.structure.indexes
@@ -159,7 +141,7 @@ class SumPairIndex(_AggregateBase):
             spans = [
                 (float(tps.starts[i]), float(tps.ends[i])) for i in group.member_ids
             ]
-            sums[gi] = factory(spans)
+            sums[gi] = CoverageProfile(spans)
         clone._sums = sums
         return clone
 

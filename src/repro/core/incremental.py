@@ -39,7 +39,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..errors import BackendError, ValidationError
+from ..errors import ValidationError
 from ..structures.durable_ball import DurableBallStructure
 from ..types import TemporalPointSet, TriangleRecord
 from .triangles import _record, triangles_for_anchor
@@ -222,8 +222,9 @@ class IncrementalTriangleSession:
     epsilon:
         Distance approximation; ignored by the exact ℓ∞ backend.
     backend:
-        ``"cover-tree"`` / ``"grid"`` (ε-approximate, Section 4),
-        ``"linf-exact"`` (Appendix B.3), or ``"auto"``.
+        ``"linf-exact"`` (Appendix B.3), or the name of any spatial
+        backend (``"cover-tree"``, ``"vector"``, ``"auto"``: the
+        ε-approximate solver of Section 4 over that decomposition).
 
     Usage::
 
@@ -245,19 +246,19 @@ class IncrementalTriangleSession:
     ) -> None:
         self.tps = tps
         self.epsilon = float(epsilon)
-        if backend in ("auto", "cover-tree", "grid"):
+        if backend == "linf-exact":
+            from .linf import LinfAnchorBackend
+
+            self.backend: AnchorBackend = LinfAnchorBackend(tps)
+        else:
             if not 0 < self.epsilon <= 1:
                 raise ValidationError(
                     f"epsilon must lie in (0, 1], got {epsilon!r}"
                 )
+            # Unknown names raise BackendError listing the registered
+            # spatial backends.
             structure = DurableBallStructure(tps, self.epsilon / 4.0, backend)
-            self.backend: AnchorBackend = CoverTreeAnchorBackend(structure)
-        elif backend == "linf-exact":
-            from .linf import LinfAnchorBackend
-
-            self.backend = LinfAnchorBackend(tps)
-        else:
-            raise BackendError(f"unknown incremental backend {backend!r}")
+            self.backend = CoverTreeAnchorBackend(structure)
 
         self._sorted_ends = np.sort(tps.ends)
         # S_α: maximum activation thresholds β^{+∞}_p, which seed S_β

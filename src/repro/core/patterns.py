@@ -9,7 +9,7 @@ in the spatial search radius around the anchor:
 * cliques: radius 1 (every member is adjacent to ``p``);
 * paths of ``m`` vertices: radius ``m − 1`` (members can be ``m − 1``
   hops away — the paper's sketch reuses ``C_p`` and would miss the far
-  end of a path, so we widen the ball query; DESIGN.md);
+  end of a path, so we widen the ball query; DESIGN.md note 6);
 * stars: radius 2, as in the paper (``p`` may be a leaf whose center is
   another point).
 

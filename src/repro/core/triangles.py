@@ -85,8 +85,8 @@ class DurableTriangleIndex:
         is a τ-durable ε-triangle, and every exact τ-durable triangle is
         reported.
     backend:
-        ``"cover-tree"`` (any metric, Appendix A), ``"grid"``
-        (ℓ_α metrics, Remark 1), or ``"auto"``.
+        ``"cover-tree"`` (any metric, Appendix A), ``"vector"``
+        (the grid cells of Remark 1, ℓ_α metrics), or ``"auto"``.
 
     The exact ℓ∞ solver of Appendix B lives in
     :class:`repro.core.linf.LinfTriangleIndex`; the top-level helper

@@ -8,9 +8,11 @@ a generic benchmark workload with tunable density.
 from __future__ import annotations
 
 import inspect
+import numbers
 from typing import Any, Mapping, Optional
 
-from ..errors import ValidationError
+from ..errors import MetricError, ValidationError
+from ..geometry.metrics import get_metric
 from ..types import TemporalPointSet
 from .synthetic import clustered_points, manifold_points, uniform_points
 from .temporal_gen import career_lifespans, session_lifespans, uniform_lifespans
@@ -87,6 +89,10 @@ def benchmark_workload(
     return TemporalPointSet(pts, starts, ends, metric=metric)
 
 
+#: Largest ``n`` a declarative spec may request (specs arrive from
+#: batch files and ``POST /datasets``; this bounds generator memory).
+MAX_WORKLOAD_POINTS = 1_000_000
+
 #: Named workloads resolvable from a declarative dataset spec
 #: (``uniform`` is an alias kept for CLI compatibility).
 _NAMED_WORKLOADS = {
@@ -108,20 +114,34 @@ def workload_from_spec(spec: Mapping[str, Any]) -> TemporalPointSet:
       ``coauthor`` (default ``uniform``), plus any keyword the chosen
       generator accepts (``n``, ``seed``, ``density``, …);
     * ``metric`` — metric name passed through (default ``l2``).
+
+    Specs may come from untrusted clients, so every malformed value
+    raises :class:`~repro.errors.ValidationError`: ``n`` must be an
+    integer in ``[1, MAX_WORKLOAD_POINTS]``, and a CSV that cannot be
+    loaded gets a message that does not quote the file's content.
     """
     if not isinstance(spec, Mapping):
         raise ValidationError(f"dataset spec must be a mapping, got {spec!r}")
     params = dict(spec)
-    metric = params.pop("metric", "l2")
+    try:
+        metric = get_metric(params.pop("metric", "l2"))
+    except MetricError as exc:
+        raise ValidationError(str(exc)) from exc
     csv = params.pop("csv", None)
     if csv is not None:
         if params:
             raise ValidationError(
                 f"csv datasets accept only 'metric', got extra keys {sorted(params)}"
             )
+        if not isinstance(csv, str):
+            raise ValidationError(f"'csv' must be a file path, got {csv!r}")
         import numpy as np
 
-        rows = np.loadtxt(csv, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(csv, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            # Deliberately generic: parse errors quote the file's content.
+            raise ValidationError(f"cannot load CSV dataset {csv!r}") from exc
         if rows.shape[1] < 3:
             raise ValidationError("CSV needs at least x,start,end columns")
         return TemporalPointSet(
@@ -142,4 +162,16 @@ def workload_from_spec(spec: Mapping[str, Any]) -> TemporalPointSet:
             f"workload {name!r} does not accept {sorted(unknown)}; "
             f"valid keys: {sorted(allowed)}"
         )
-    return fn(metric=metric, **params)
+    n = params["n"]
+    if not (
+        isinstance(n, numbers.Integral)
+        and not isinstance(n, bool)
+        and 1 <= n <= MAX_WORKLOAD_POINTS
+    ):
+        raise ValidationError(
+            f"n must be an integer in [1, {MAX_WORKLOAD_POINTS}], got {n!r}"
+        )
+    try:
+        return fn(metric=metric, **params)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {name!r} workload parameters: {exc}") from exc

@@ -6,28 +6,21 @@ Planning is pure — no index is built here — so a plan can also be
 inspected to predict how many distinct builds a batch will trigger
 (:func:`distinct_index_keys`).
 
-Dispatch is two-layered:
-
-* the spec's ``kind`` selects a :class:`~repro.engine.templates.PlanTemplate`
-  from the template registry (:mod:`repro.engine.templates`) — the four
-  legacy index families and the ``pattern-dsl`` compiler are built-in,
-  and :func:`~repro.engine.templates.register_template` opens the set;
-* inside the built-in templates, backend dispatch goes through the
-  backend registry (:mod:`repro.backends`):
-  :meth:`~repro.backends.registry.BackendRegistry.resolve` validates
-  the kind/backend/metric combination, resolves ``backend="auto"``
-  through the cost model (exact ℓ∞ promotion included), and the chosen
-  descriptor's hooks emit the cache key and builder.  For every
-  pre-existing explicit backend name the emitted
-  :class:`~repro.engine.cache.IndexKey` is bit-identical to the
-  historical planner's, so caches populated before either registry
-  existed stay valid (asserted by ``tests/test_backends.py``).
+Dispatch goes by kind: ``pattern-dsl`` specs are compiled by
+:func:`repro.lang.compiler.compile_pattern`; every other kind goes
+through the backend registry (:mod:`repro.backends`):
+:meth:`~repro.backends.registry.BackendRegistry.resolve` validates the
+kind/backend/metric combination, resolves ``backend="auto"`` through
+the cost model (exact ℓ∞ promotion included), and the chosen
+descriptor's hooks emit the cache key and builder.  The emitted
+:class:`~repro.engine.cache.IndexKey` values are pinned by
+``tests/test_backends.py::TestKeyStability``.
 
 A plan comes in two shapes, told apart by ``stages``:
 
 * **stage-less** (the legacy kinds): the executor builds/fetches
   ``plan.key`` and calls ``runner(index, tau)``;
-* **staged** (``pattern-dsl`` and future composite templates): each
+* **staged** (``pattern-dsl``): each
   :class:`PlanStage` names one shared index; the executor acquires all
   of them through the same single-flight cache — so a composite plan's
   sub-indexes are shared with any legacy query that uses them — and
@@ -39,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..backends.registry import BackendRegistry
+from ..backends.registry import BackendRegistry, default_registry
 from ..errors import ValidationError
 from ..types import TemporalPointSet
 from .cache import IndexKey
-from .spec import PATTERN_KINDS, QuerySpec
+from .spec import DSL_KIND, PATTERN_KINDS, QuerySpec
 
 __all__ = [
     "PlanStage",
@@ -106,10 +99,6 @@ def runner_for(spec: QuerySpec) -> Callable[[Any, float], list]:
     return lambda index, tau: index.query(tau)
 
 
-#: Historical private name (bench_backends imports it).
-_runner_for = runner_for
-
-
 def plan_query(
     order: int,
     spec: QuerySpec,
@@ -118,16 +107,26 @@ def plan_query(
 ) -> QueryPlan:
     """Resolve one spec against a dataset (validates, never builds).
 
-    Dispatches to the spec's plan template; ``registry`` (defaulting to
-    the process-wide backend registry) scopes backend dispatch — and
-    any custom backends or recalibrated cost model — to this call.
+    ``registry`` (defaulting to the process-wide backend registry)
+    scopes backend dispatch — and any custom backends or recalibrated
+    cost model — to this call.
     """
-    # Imported lazily: the template registry imports this module for
-    # QueryPlan/PlanStage, so the dependency must not be circular at
-    # import time.
-    from .templates import get_template
+    if spec.kind == DSL_KIND:
+        # Imported lazily: the engine package must not hard-depend on
+        # the language package at import time.
+        from ..lang.compiler import compile_pattern
 
-    return get_template(spec.kind).plan(order, spec, tps, registry)
+        return compile_pattern(order, spec, tps, registry)
+    reg = registry if registry is not None else default_registry()
+    descriptor = reg.resolve(spec, tps).descriptor
+    return QueryPlan(
+        order=order,
+        spec=spec,
+        key=descriptor.index_identity(spec, tps.fingerprint()),
+        builder=descriptor.make_builder(spec, tps),
+        runner=runner_for(spec),
+        template=spec.kind,
+    )
 
 
 def plan_batch(

@@ -38,10 +38,8 @@ def _as_float(value: Any, what: str) -> float:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a number, got {value!r}") from exc
 
-#: The built-in legacy query kinds — each is a registered plan template
-#: (:mod:`repro.engine.templates`); the full kind set a spec accepts is
-#: the template registry's, which additionally holds ``"pattern-dsl"``
-#: and anything installed via ``register_template``.
+#: The legacy query kinds, each served by one shared-index family
+#: through the backend registry's descriptor hooks.
 KINDS = (
     "triangles",
     "cliques",
@@ -57,16 +55,9 @@ PATTERN_KINDS = ("cliques", "paths", "stars")
 #: The declarative-pattern kind compiled by :mod:`repro.lang`.
 DSL_KIND = "pattern-dsl"
 
+#: Every kind a spec accepts.
+_ACCEPTED_KINDS = KINDS + (DSL_KIND,)
 
-def _registered_kinds() -> Tuple[str, ...]:
-    """Every kind the template registry currently accepts.
-
-    Imported lazily: the template registry imports this module for
-    :data:`KINDS`, so validation consults it at call time only.
-    """
-    from .templates import template_names
-
-    return template_names()
 
 def known_backends() -> Tuple[str, ...]:
     """``'auto'`` plus every backend registered right now.
@@ -122,8 +113,6 @@ def apply_default_backend(
     ]
 
 
-_SUM_BACKENDS = ("profile", "tree")
-
 TauInput = Union[float, int, Iterable[float]]
 
 
@@ -134,7 +123,7 @@ class QuerySpec:
     Parameters
     ----------
     kind:
-        One of :data:`KINDS`.
+        One of :data:`KINDS`, or ``"pattern-dsl"``.
     taus:
         Durability threshold(s).  A scalar is normalised to a 1-tuple; a
         sequence requests a τ-sweep answered from one shared index.
@@ -151,8 +140,6 @@ class QuerySpec:
     m:
         Pattern size for ``cliques``/``paths``/``stars`` (default 3),
         rejected elsewhere.
-    sum_backend:
-        ``"profile"`` or ``"tree"`` for ``pairs-sum``.
     exact:
         Triangle-only override of the exact/approximate choice:
         ``True`` forces the ℓ∞-exact solver, ``False`` forbids the
@@ -173,17 +160,16 @@ class QuerySpec:
     backend: str = "auto"
     kappa: Optional[int] = None
     m: Optional[int] = None
-    sum_backend: str = "profile"
     exact: Optional[bool] = None
     label: Optional[str] = None
     pattern: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if self.kind not in _registered_kinds():
+        if self.kind not in _ACCEPTED_KINDS:
             raise ValidationError(
                 f"unknown query kind {self.kind!r}; "
-                f"expected one of {', '.join(_registered_kinds())}"
+                f"expected one of {', '.join(_ACCEPTED_KINDS)}"
             )
         object.__setattr__(self, "taus", self._normalise_taus(self.taus))
         object.__setattr__(self, "epsilon", _as_float(self.epsilon, "epsilon"))
@@ -191,10 +177,10 @@ class QuerySpec:
             raise ValidationError(
                 f"epsilon must lie in (0, 1], got {self.epsilon!r}"
             )
-        if self.kind == DSL_KIND or self.kind not in KINDS:
-            # DSL and custom-template kinds: the backend name must be
-            # registered (or 'auto'); kind/backend serving is checked
-            # per lowered primitive at plan time.
+        if self.kind == DSL_KIND:
+            # The backend name must be registered (or 'auto');
+            # kind/backend serving is checked per lowered primitive at
+            # plan time.
             names = default_registry().names()
             if self.backend != "auto" and self.backend not in names:
                 raise ValidationError(
@@ -207,11 +193,6 @@ class QuerySpec:
             # under the triangle-only 'linf-exact' — previously coerced
             # to 'auto').
             default_registry().validate_combination(self.kind, self.backend)
-        if self.sum_backend not in _SUM_BACKENDS:
-            raise ValidationError(
-                f"unknown sum backend {self.sum_backend!r}; "
-                f"expected one of {', '.join(_SUM_BACKENDS)}"
-            )
         self._validate_kind_params()
         self._validate_pattern()
 

@@ -67,7 +67,7 @@ def _leaf_spec(node: PatternNode, spec: Any) -> Any:
     """The legacy :class:`QuerySpec` a primitive leaf lowers to.
 
     Only the index-identity-bearing fields matter here (kind, ε,
-    backend, sum_backend, exact): τ is a query-time parameter for every
+    backend, exact): τ is a query-time parameter for every
     family, so the leaf spec borrows the parent's taus verbatim.
     """
     from ..engine.spec import QuerySpec
@@ -80,9 +80,7 @@ def _leaf_spec(node: PatternNode, spec: Any) -> Any:
         return QuerySpec(kind=kind, m=node.m, **common)
     if isinstance(node, PairsNode):
         if node.agg == "sum":
-            return QuerySpec(
-                kind="pairs-sum", sum_backend=spec.sum_backend, **common
-            )
+            return QuerySpec(kind="pairs-sum", **common)
         return QuerySpec(kind="pairs-union", kappa=node.kappa, **common)
     raise ValidationError(f"unexpected pattern node {type(node).__name__}")
 

@@ -39,6 +39,7 @@ __all__ = [
     "Request",
     "ProtocolError",
     "read_request",
+    "discard_input",
     "want_keep_alive",
     "send_json",
     "send_text",
@@ -71,6 +72,11 @@ STATUS_REASONS = {
 #: buffered up to asyncio's 64 KiB default before the check runs.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Bounds on :func:`discard_input`: at most this many unread request
+#: bytes are drained, for at most this many seconds, before closing.
+DISCARD_MAX_BYTES = 256 * 1024
+DISCARD_SECONDS = 2.0
 
 
 class ProtocolError(Exception):
@@ -192,6 +198,40 @@ async def read_request(
         method=method.upper(), path=path, headers=headers, body=body,
         version=version.upper(), query=query,
     )
+
+
+async def discard_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drain unread request bytes before a close.
+
+    Closing a socket whose receive buffer still holds data makes the
+    kernel answer with a TCP RST, which can destroy an error response
+    still in flight to the client (it sees a reset instead of the
+    413/400).  So after an error reply that ends the connection with
+    request bytes possibly unread, the server shuts down its write side
+    (the client sees the response, then EOF) and reads and discards
+    input until the client closes, up to :data:`DISCARD_MAX_BYTES` and
+    :data:`DISCARD_SECONDS`.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + DISCARD_SECONDS
+    remaining = DISCARD_MAX_BYTES
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        while remaining > 0:
+            timeout = deadline - loop.time()
+            if timeout <= 0:
+                break
+            chunk = await asyncio.wait_for(
+                reader.read(min(remaining, 64 * 1024)), timeout
+            )
+            if not chunk:
+                break
+            remaining -= len(chunk)
+    except (ConnectionError, asyncio.TimeoutError):
+        pass
 
 
 def want_keep_alive(request: Request) -> bool:

@@ -179,8 +179,8 @@ class DatasetShard:
         #: queries each backend answered, how many builds it paid for,
         #: and the wall time spent building vs querying.
         self._backend_counters: Dict[str, Dict[str, Any]] = {}
-        #: Per-plan-template serving counters — which registered
-        #: template (legacy kind or ``pattern-dsl``) answered each query.
+        #: Per-plan-template serving counters — which template (legacy
+        #: kind or ``pattern-dsl``) answered each query.
         self._template_counters: Dict[str, Dict[str, Any]] = {}
         #: Single-writer gate for appends: one epoch bump at a time, so
         #: the ``tps`` swap plus cache advance is atomic w.r.t. other
@@ -270,10 +270,8 @@ class DatasetShard:
         success the shard's ``tps`` is swapped to the merged version
         (epoch + 1) and the index cache is advanced — families whose
         indexes support incremental maintenance (the paper's online
-        algorithms; currently durable triangles and SUM pairs over the
-        grid backend) are migrated to the new epoch and keep hitting,
-        the rest are
-        invalidated and rebuild on their next query.  Batches larger
+        algorithms; every family over the vector backend) are migrated
+        to the new epoch and keep hitting, the rest are invalidated and rebuild on their next query.  Batches larger
         than :data:`REBUILD_FRACTION` of the dataset skip maintenance
         entirely (rebuild-on-threshold).  Either way, queries after the
         append answer record-set-identically to a fresh registration of

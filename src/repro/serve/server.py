@@ -84,6 +84,7 @@ from .http import (
     MAX_HEADER_BYTES,
     ProtocolError,
     Request,
+    discard_input,
     end_chunked,
     read_request,
     send_chunk,
@@ -346,10 +347,13 @@ class AsyncApp:
                     break  # idle past the keep-alive window
                 except ProtocolError as exc:
                     # Framing is unreliable past this point (ambiguous
-                    # lengths, unread body bytes): answer and close.
+                    # lengths, unread body bytes): answer and close,
+                    # draining what the client already sent so the
+                    # close cannot reset the answer away.
                     await send_json(
                         writer, exc.status, {"error": str(exc)}, close=True
                     )
+                    await discard_input(reader, writer)
                     break
                 if request is None:
                     break  # clean EOF between requests
@@ -435,6 +439,13 @@ class AsyncApp:
                     break
         except (ConnectionError, asyncio.TimeoutError):
             pass  # peer went away; admission slots are freed by callbacks
+        except asyncio.CancelledError:
+            # Only the shutdown drain cancels connection tasks.  Ending
+            # the task normally keeps asyncio's stream callback — which
+            # calls task.exception() on a cancelled task before Python
+            # 3.12 — from logging a spurious CancelledError traceback.
+            if not self._shutdown.is_set():
+                raise
         finally:
             self.connections_active -= 1
             if task is not None:

@@ -65,7 +65,7 @@ def make_decomposition(
 
     ``backend`` is ``"auto"`` (cover tree, the paper's general-metric
     structure) or the name of any *spatial* backend registered on the
-    backend registry — ``"cover-tree"`` and ``"grid"`` out of the box.
+    backend registry — ``"cover-tree"`` and ``"vector"`` out of the box.
     Unknown names raise :class:`~repro.errors.BackendError` listing the
     registered spatial backends.
     """
@@ -117,7 +117,7 @@ class DurableBallStructure:
         Maximum canonical-ball radius; the triangle algorithms pass
         ``ε/4`` (see Algorithm 1's use of ``durableBallQ(p, τ, ε/2)``).
     backend:
-        Spatial backend (``"cover-tree"``, ``"grid"``, ``"auto"``).
+        Spatial backend (``"cover-tree"``, ``"vector"``, ``"auto"``).
     """
 
     def __init__(

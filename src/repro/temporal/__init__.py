@@ -3,9 +3,8 @@ built over them (Sections 1.1, 2.1, 2.2, 5)."""
 
 from .interval import EMPTY_INTERVAL, Interval, intersect_many, union_length
 from .interval_set import IntervalSet
-from .interval_tree import IntervalTree
 from .dominance import DominanceIndex, Run, RunSet
-from .sum_index import AnnotatedIntervalTree, CoverageProfile
+from .sum_index import CoverageProfile
 from .max_overlap import MaxOverlapIndex, OverlapCandidate
 
 __all__ = [
@@ -14,11 +13,9 @@ __all__ = [
     "intersect_many",
     "union_length",
     "IntervalSet",
-    "IntervalTree",
     "DominanceIndex",
     "Run",
     "RunSet",
-    "AnnotatedIntervalTree",
     "CoverageProfile",
     "MaxOverlapIndex",
     "OverlapCandidate",

@@ -45,7 +45,7 @@ class IntervalSet:
     * ``intersect`` — pointwise intersection with another set or interval;
     * ``union`` — pointwise union;
     * ``max_window`` — the longest contiguous piece (the alternative
-      "durable within a single window" semantics discussed in DESIGN.md).
+      "durable within a single window" semantics of :mod:`repro.core.multi`).
     """
 
     __slots__ = ("_spans",)

@@ -1,22 +1,13 @@
-"""SUM-durability primitives: ``ITΣ`` and the coverage profile (Section 5.1).
+"""The SUM-durability primitive ``ComputeSumD`` (Section 5.1).
 
-Both structures answer the ``ComputeSumD`` primitive of the paper: given a
-query interval ``J``, return ``Σ_{I ∈ ℐ} |I ∩ J|`` over a fixed family of
-intervals ``ℐ``.
-
-* :class:`AnnotatedIntervalTree` is the paper-faithful ``ITΣ``: an
-  interval tree whose nodes carry endpoint prefix sums, so a query
-  decomposes into the four canonical cases of Section 5.1 (interval
-  covers ``J`` / is covered / dangles left / dangles right) and costs
-  ``O(log² n)``.
-
-* :class:`CoverageProfile` is a simplification with identical output:
-  since ``Σ |I ∩ J| = ∫_J c(t) dt`` where ``c`` counts intervals covering
-  ``t``, we precompute the integrated step function ``F`` at every event
-  point and answer ``F(J⁺) − F(J⁻)`` in ``O(log n)``.
-
-Experiment E13 benchmarks one against the other; the tests cross-check
-them against a direct sum.
+Given a query interval ``J``, return ``Σ_{I ∈ ℐ} |I ∩ J|`` over a fixed
+family of intervals ``ℐ``.  The paper's ``ITΣ`` is an interval tree
+whose nodes carry endpoint prefix sums (``O(log² n)`` per query).
+:class:`CoverageProfile` gives identical output more simply: since
+``Σ |I ∩ J| = ∫_J c(t) dt`` where ``c`` counts intervals covering ``t``,
+we precompute the integrated step function ``F`` at every event point
+and answer ``F(J⁺) − F(J⁻)`` in ``O(log n)`` (DESIGN.md note 4).  The
+tests cross-check it against a direct sum.
 """
 
 from __future__ import annotations
@@ -26,208 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ValidationError
 
-__all__ = ["AnnotatedIntervalTree", "CoverageProfile"]
-
-
-# ----------------------------------------------------------------------
-# Prefix-sum helpers over sorted arrays
-# ----------------------------------------------------------------------
-class _SortedSums:
-    """A sorted array with prefix sums: count/sum of entries ≤ a threshold."""
-
-    __slots__ = ("values", "prefix")
-
-    def __init__(self, values: Sequence[float]) -> None:
-        self.values = sorted(values)
-        acc = 0.0
-        prefix = [0.0]
-        for v in self.values:
-            acc += v
-            prefix.append(acc)
-        self.prefix = prefix
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def count_le(self, t: float) -> int:
-        return bisect.bisect_right(self.values, t)
-
-    def sum_le(self, t: float) -> float:
-        return self.prefix[bisect.bisect_right(self.values, t)]
-
-    @property
-    def total(self) -> float:
-        return self.prefix[-1]
-
-    def sum_min_with(self, b: float) -> float:
-        """``Σ min(v, b)`` over all entries."""
-        k = self.count_le(b)
-        return self.prefix[k] + b * (len(self.values) - k)
-
-    def sum_max_with(self, a: float) -> float:
-        """``Σ max(v, a)`` over all entries."""
-        k = self.count_le(a)
-        return a * k + (self.total - self.prefix[k])
-
-
-class _SumNode:
-    __slots__ = (
-        "center",
-        "own_lefts",
-        "own_rights",
-        "sub_lefts",
-        "sub_rights",
-        "left",
-        "right",
-    )
-
-    def __init__(self, center: float) -> None:
-        self.center = center
-        self.own_lefts: _SortedSums = _SortedSums([])
-        self.own_rights: _SortedSums = _SortedSums([])
-        self.sub_lefts: _SortedSums = _SortedSums([])
-        self.sub_rights: _SortedSums = _SortedSums([])
-        self.left: Optional["_SumNode"] = None
-        self.right: Optional["_SumNode"] = None
-
-
-def _build(items: List[Tuple[float, float]]) -> Optional[_SumNode]:
-    if not items:
-        return None
-    endpoints = sorted(x for iv in items for x in iv)
-    center = endpoints[len(endpoints) // 2]
-    node = _SumNode(center)
-    here: List[Tuple[float, float]] = []
-    left_items: List[Tuple[float, float]] = []
-    right_items: List[Tuple[float, float]] = []
-    for lo, hi in items:
-        if hi < center:
-            left_items.append((lo, hi))
-        elif lo > center:
-            right_items.append((lo, hi))
-        else:
-            here.append((lo, hi))
-    node.own_lefts = _SortedSums([lo for lo, _ in here])
-    node.own_rights = _SortedSums([hi for _, hi in here])
-    node.sub_lefts = _SortedSums([lo for lo, _ in items])
-    node.sub_rights = _SortedSums([hi for _, hi in items])
-    node.left = _build(left_items)
-    node.right = _build(right_items)
-    return node
-
-
-class AnnotatedIntervalTree:
-    """Paper-faithful ``ITΣ``: interval tree with endpoint prefix sums.
-
-    ``sum_intersections(a, b)`` returns ``Σ_I |I ∩ [a, b]|`` in
-    ``O(log² n)`` by decomposing the family into the four canonical cases
-    of Section 5.1 along the search paths to ``a`` and ``b``, plus whole
-    subtrees lying strictly between the two paths (handled through the
-    per-node subtree prefix sums).
-    """
-
-    def __init__(self, intervals: Sequence[Tuple[float, float]]) -> None:
-        items: List[Tuple[float, float]] = []
-        for lo, hi in intervals:
-            if hi < lo:
-                raise ValidationError(f"interval end ({hi!r}) precedes start ({lo!r})")
-            items.append((float(lo), float(hi)))
-        self._n = len(items)
-        self._root = _build(items)
-
-    def __len__(self) -> int:
-        return self._n
-
-    # ------------------------------------------------------------------
-    def sum_intersections(self, a: float, b: float) -> float:
-        """``Σ_I |I ∩ [a, b]|`` (0 when ``b ≤ a``)."""
-        if b <= a:
-            return 0.0
-        return self._query(self._root, a, b)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _own_straddle(node: _SumNode, a: float, b: float) -> float:
-        # Every interval stored at the node contains node.center ∈ [a, b],
-        # hence intersects J: Σ min(I⁺,b) − Σ max(I⁻,a).
-        return node.own_rights.sum_min_with(b) - node.own_lefts.sum_max_with(a)
-
-    @staticmethod
-    def _own_left_of(node: _SumNode, a: float, b: float) -> float:
-        # b < center: qualifying intervals have I⁻ ≤ b (then I⁺ ≥ center > b):
-        # Σ (b − max(I⁻, a)) over the qualifying prefix of own_lefts.
-        lefts = node.own_lefts
-        k = lefts.count_le(b)
-        if k == 0:
-            return 0.0
-        ka = lefts.count_le(a)  # a ≤ b so this prefix is within the first k
-        sum_max = a * ka + (lefts.prefix[k] - lefts.prefix[ka])
-        return b * k - sum_max
-
-    @staticmethod
-    def _own_right_of(node: _SumNode, a: float, b: float) -> float:
-        # a > center: qualifying intervals have I⁺ ≥ a (then I⁻ ≤ center < a):
-        # Σ (min(I⁺, b) − a) over the qualifying suffix of own_rights.
-        rights = node.own_rights
-        lt_a = bisect.bisect_left(rights.values, a)
-        cnt = len(rights) - lt_a
-        if cnt == 0:
-            return 0.0
-        kb = rights.count_le(b)  # ≥ lt_a because a ≤ b
-        sum_min = (rights.prefix[kb] - rights.prefix[lt_a]) + b * (len(rights) - kb)
-        return sum_min - a * cnt
-
-    @staticmethod
-    def _subtree_between(node: Optional[_SumNode], a: float, b: float) -> float:
-        # Entire subtree lies between the search paths: every stored
-        # interval contains its node's center ∈ (a, b), so all intersect.
-        if node is None:
-            return 0.0
-        return node.sub_rights.sum_min_with(b) - node.sub_lefts.sum_max_with(a)
-
-    def _path_to_a(self, node: Optional[_SumNode], a: float, b: float) -> float:
-        # Descend toward ``a`` inside the region where centers are < the
-        # split center (hence ≤ b).  Right children encountered while
-        # moving left lie fully between the paths.
-        total = 0.0
-        while node is not None:
-            if a > node.center:
-                total += self._own_right_of(node, a, b)
-                node = node.right
-            else:
-                total += self._own_straddle(node, a, b)
-                total += self._subtree_between(node.right, a, b)
-                node = node.left
-        return total
-
-    def _path_to_b(self, node: Optional[_SumNode], a: float, b: float) -> float:
-        total = 0.0
-        while node is not None:
-            if b < node.center:
-                total += self._own_left_of(node, a, b)
-                node = node.left
-            else:
-                total += self._own_straddle(node, a, b)
-                total += self._subtree_between(node.left, a, b)
-                node = node.right
-        return total
-
-    def _query(self, node: Optional[_SumNode], a: float, b: float) -> float:
-        total = 0.0
-        # Walk to the split node where [a, b] straddles the center.
-        while node is not None:
-            if b < node.center:
-                total += self._own_left_of(node, a, b)
-                node = node.left
-            elif a > node.center:
-                total += self._own_right_of(node, a, b)
-                node = node.right
-            else:
-                total += self._own_straddle(node, a, b)
-                total += self._path_to_a(node.left, a, b)
-                total += self._path_to_b(node.right, a, b)
-                return total
-        return total
+__all__ = ["CoverageProfile"]
 
 
 class CoverageProfile:

@@ -5,8 +5,9 @@ Covers: registry registration/lookup semantics, the satellite-1
 regression (pair/pattern kinds must *reject* ``linf-exact`` instead of
 silently coercing it to ``auto``), registry-routed
 ``make_decomposition`` errors, deterministic ``auto`` resolution,
-bit-stable cache keys for every pre-existing backend name, grid vs
-cover-tree record-set parity on band-free datasets (property test),
+bit-stable cache keys for every backend name, three-way record-set
+parity (cover tree, object-graph grid cells, vector) on band-free
+datasets (property test),
 the cost model's calibration loop, the serving layer's per-dataset
 default backend + per-backend counters, and the CLI surfaces.
 """
@@ -35,7 +36,14 @@ from repro.cli import main as cli_main
 from repro.core.aggregate import SumPairIndex, UnionPairIndex
 from repro.core.patterns import PatternIndex
 from repro.core.triangles import DurableTriangleIndex
+from repro.backends.vector import (
+    VectorPatternIndex,
+    VectorSumPairIndex,
+    VectorTriangleIndex,
+    VectorUnionPairIndex,
+)
 from repro.engine import IndexKey, QueryEngine, QuerySpec, plan_query
+from repro.quadtree.tree import GridDecomposition
 from repro.errors import BackendError, ValidationError
 from repro.structures.durable_ball import make_decomposition
 
@@ -52,23 +60,23 @@ def fresh_registry() -> BackendRegistry:
 class TestRegistry:
     def test_builtin_names_in_registration_order(self):
         assert default_registry().names() == (
-            "cover-tree", "grid", "linf-exact", "vector",
+            "cover-tree", "linf-exact", "vector",
         )
 
     def test_unknown_backend_error_lists_registered(self):
         with pytest.raises(
-            BackendError, match="cover-tree, grid, linf-exact, vector"
+            BackendError, match="cover-tree, linf-exact, vector"
         ):
             default_registry().get("annoy")
 
     def test_get_spatial_rejects_non_spatial(self):
         # linf-exact is registered but provides no decomposition.
-        with pytest.raises(BackendError, match="spatial backends: cover-tree, grid"):
+        with pytest.raises(BackendError, match="spatial backends: cover-tree, vector"):
             default_registry().get_spatial("linf-exact")
 
     def test_duplicate_registration_needs_replace(self):
         registry = fresh_registry()
-        descriptor = registry.get("grid")
+        descriptor = registry.get("vector")
         with pytest.raises(ValidationError, match="already registered"):
             registry.register(descriptor)
         registry.register(descriptor, replace=True)  # idempotent with replace
@@ -121,7 +129,7 @@ class TestRegistry:
         by_name = {c["name"]: c for c in cards}
         assert by_name["linf-exact"]["exact"] is True
         assert by_name["linf-exact"]["kinds"] == ["triangles"]
-        assert by_name["grid"]["spatial"] is True
+        assert by_name["vector"]["spatial"] is True
         assert by_name["cover-tree"]["cost_coefficients"]["build"] > 0
 
 
@@ -140,7 +148,7 @@ class TestKindBackendRejection:
         message = str(err.value)
         # The error must name the backends that DO serve the kind.
         assert "does not serve" in message
-        assert "cover-tree" in message and "grid" in message
+        assert "cover-tree" in message and "vector" in message
 
     def test_triangles_still_accept_linf_exact(self):
         spec = QuerySpec(kind="triangles", taus=2.0, backend="linf-exact")
@@ -149,7 +157,7 @@ class TestKindBackendRejection:
     def test_validate_combination_direct(self):
         registry = default_registry()
         registry.validate_combination("pairs-sum", "auto")  # never rejected
-        registry.validate_combination("pairs-sum", "grid")
+        registry.validate_combination("pairs-sum", "vector")
         with pytest.raises(ValidationError, match="serving 'pairs-sum'"):
             registry.validate_combination("pairs-sum", "linf-exact")
         with pytest.raises(ValidationError, match="unknown backend"):
@@ -164,7 +172,7 @@ class TestMakeDecomposition:
         tps = random_tps(n=10, seed=0)
         with pytest.raises(BackendError) as err:
             make_decomposition(tps, 0.25, backend="octree")
-        assert "registered spatial backends: cover-tree, grid" in str(err.value)
+        assert "registered spatial backends: cover-tree, vector" in str(err.value)
 
     def test_exact_backend_is_not_a_decomposition(self):
         tps = random_tps(n=10, seed=0, metric="linf")
@@ -180,9 +188,9 @@ class TestMakeDecomposition:
 
     def test_registered_names_build(self):
         tps = random_tps(n=15, seed=1)
-        assert type(make_decomposition(tps, 0.25, "grid")).__name__ == (
-            "GridDecomposition"
-        )
+        dec = make_decomposition(tps, 0.25, "vector")
+        assert type(dec).__name__ == "VectorGridDecomposition"
+        assert isinstance(dec, GridDecomposition)
 
 
 class TestLazyApiEngine:
@@ -255,7 +263,7 @@ class TestAutoResolution:
             QuerySpec(kind="pairs-sum", taus=2.0), opaque
         )
         assert resolution.name == "cover-tree"
-        assert "grid" not in resolution.costs
+        assert "vector" not in resolution.costs
 
     def test_linf_triangles_promote_to_exact_and_exact_false_opts_out(self):
         tps = random_tps(n=25, seed=2, metric="linf")
@@ -266,7 +274,7 @@ class TestAutoResolution:
         opted_out = registry.resolve(
             QuerySpec(kind="triangles", taus=2.0, exact=False), tps
         )
-        assert opted_out.name in ("cover-tree", "grid", "vector")
+        assert opted_out.name in ("cover-tree", "vector")
 
     def test_explicit_backend_with_wrong_metric_names_alternatives(self):
         tps = random_tps(n=25, seed=2)
@@ -276,23 +284,18 @@ class TestAutoResolution:
         )
         with pytest.raises(ValidationError, match="cover-tree"):
             default_registry().resolve(
-                QuerySpec(kind="triangles", taus=2.0, backend="grid"), opaque
+                QuerySpec(kind="triangles", taus=2.0, backend="vector"), opaque
             )
 
     def test_cost_scales_choose_vector_on_lp_inputs(self):
-        # The measured coefficients price the SoA vector backend below
-        # the grid, and the grid far below the cover tree, on lp
-        # metrics — auto should agree with that ordering.
+        # The measured coefficients price the SoA vector backend far
+        # below the cover tree on lp metrics — auto should agree.
         tps = random_tps(n=60, seed=4, metric="l2")
         resolution = default_registry().resolve(
             QuerySpec(kind="triangles", taus=2.0), tps
         )
         assert resolution.name == "vector"
-        assert (
-            resolution.costs["vector"]
-            < resolution.costs["grid"]
-            < resolution.costs["cover-tree"]
-        )
+        assert resolution.costs["vector"] < resolution.costs["cover-tree"]
 
 
 # ----------------------------------------------------------------------
@@ -311,30 +314,24 @@ class TestKeyStability:
                 IndexKey("triangles", fp, 0.5, "cover-tree", ()),
             ),
             (
-                QuerySpec(kind="triangles", taus=3.0, epsilon=0.25, backend="grid"),
-                IndexKey("triangles", fp, 0.25, "grid", ()),
+                QuerySpec(kind="triangles", taus=3.0, epsilon=0.25, backend="vector"),
+                IndexKey("triangles", fp, 0.25, "vector", ()),
             ),
             (
                 QuerySpec(kind="pairs-sum", taus=3.0, backend="cover-tree"),
-                IndexKey("pairs-sum", fp, 0.5, "cover-tree", ("profile",)),
+                IndexKey("pairs-sum", fp, 0.5, "cover-tree", ()),
             ),
             (
-                QuerySpec(
-                    kind="pairs-sum", taus=3.0, backend="grid", sum_backend="tree"
-                ),
-                IndexKey("pairs-sum", fp, 0.5, "grid", ("tree",)),
-            ),
-            (
-                QuerySpec(kind="pairs-union", taus=3.0, kappa=2, backend="grid"),
-                IndexKey("pairs-union", fp, 0.5, "grid", ()),
+                QuerySpec(kind="pairs-union", taus=3.0, kappa=2, backend="vector"),
+                IndexKey("pairs-union", fp, 0.5, "vector", ()),
             ),
             (
                 QuerySpec(kind="cliques", taus=3.0, backend="cover-tree"),
                 IndexKey("patterns", fp, 0.5, "cover-tree", ()),
             ),
             (
-                QuerySpec(kind="paths", taus=3.0, m=4, backend="grid"),
-                IndexKey("patterns", fp, 0.5, "grid", ()),
+                QuerySpec(kind="paths", taus=3.0, m=4, backend="vector"),
+                IndexKey("patterns", fp, 0.5, "vector", ()),
             ),
             (
                 QuerySpec(kind="stars", taus=3.0, backend="cover-tree"),
@@ -345,10 +342,9 @@ class TestKeyStability:
             assert plan_query(0, spec, tps).key == key, spec
 
     def test_vector_keys_follow_the_spatial_identity_scheme(self):
-        # The NEW vector backend mints keys through the same
-        # (family, fp, ε, name, extras) scheme as the other spatial
-        # backends — pinned here so vector cache identities are as
-        # stable as the pre-existing ones.
+        # The vector backend mints keys through the same
+        # (family, fp, ε, name) scheme as the cover tree — pinned here
+        # so vector cache identities are as stable as the others.
         tps = random_tps(n=30, seed=9)
         fp = tps.fingerprint()
         expected = [
@@ -358,14 +354,7 @@ class TestKeyStability:
             ),
             (
                 QuerySpec(kind="pairs-sum", taus=3.0, backend="vector"),
-                IndexKey("pairs-sum", fp, 0.5, "vector", ("profile",)),
-            ),
-            (
-                QuerySpec(
-                    kind="pairs-sum", taus=3.0, backend="vector",
-                    sum_backend="tree",
-                ),
-                IndexKey("pairs-sum", fp, 0.5, "vector", ("tree",)),
+                IndexKey("pairs-sum", fp, 0.5, "vector", ()),
             ),
             (
                 QuerySpec(kind="pairs-union", taus=3.0, kappa=2, backend="vector"),
@@ -393,24 +382,24 @@ class TestKeyStability:
         spec = QuerySpec(
             kind="pattern-dsl",
             taus=3.0,
-            backend="grid",
+            backend="vector",
             pattern="seq(triangles(), pairs(agg=sum), gap=[0, 5])",
         )
         plan = plan_query(0, spec, tps)
         assert plan.key == IndexKey("pattern-dsl", fp, 0.5, "dsl", ())
         assert [s.key for s in plan.stages] == [
-            IndexKey("triangles", fp, 0.5, "grid", ()),
-            IndexKey("pairs-sum", fp, 0.5, "grid", ("profile",)),
+            IndexKey("triangles", fp, 0.5, "vector", ()),
+            IndexKey("pairs-sum", fp, 0.5, "vector", ()),
         ]
         # Duplicate leaves fold into one stage (one shared sub-index).
         dup = QuerySpec(
             kind="pattern-dsl",
             taus=3.0,
-            backend="grid",
+            backend="vector",
             pattern="seq(pairs(agg=sum), pairs(agg=sum))",
         )
         assert [s.key for s in plan_query(0, dup, tps).stages] == [
-            IndexKey("pairs-sum", fp, 0.5, "grid", ("profile",)),
+            IndexKey("pairs-sum", fp, 0.5, "vector", ()),
         ]
 
     def test_linf_exact_key_is_bit_stable_and_epsilon_free(self):
@@ -430,7 +419,7 @@ class TestKeyStability:
         # agree for every explicit backend name.
         tps = random_tps(n=30, seed=9)
         engine = QueryEngine()
-        for backend in ("cover-tree", "grid", "vector"):
+        for backend in ("cover-tree", "vector"):
             for spec in (
                 QuerySpec(kind="triangles", taus=2.0, backend=backend),
                 QuerySpec(kind="pairs-sum", taus=2.0, backend=backend),
@@ -447,7 +436,7 @@ class TestKeyStability:
 
 
 # ----------------------------------------------------------------------
-# Satellite 3: grid vs cover-tree parity (identical record sets).
+# Three-way backend parity (identical record sets).
 #
 # Backend parity is NOT true for arbitrary inputs: a pair at distance
 # d ∈ (1, 1+ε] is an ε-extra one decomposition may report and the other
@@ -487,10 +476,27 @@ def _sorted_keys(records):
     return sorted(r.key for r in records)
 
 
-#: Every approximate spatial backend must agree on lattice inputs —
-#: including the SoA ``vector`` backend, whose batched kernels are
-#: required to reproduce the object-graph record sets exactly.
-PARITY_BACKENDS = ("cover-tree", "grid", "vector")
+#: Every approximate solver must agree on lattice inputs: the cover
+#: tree, the object-graph grid-cell reference (the core solvers run
+#: over the vector backend's grid decomposition), and the SoA
+#: ``vector`` indexes, whose batched kernels must reproduce the
+#: object-graph record sets exactly.
+PARITY_BACKENDS = ("cover-tree", "grid-cells", "vector")
+
+_VECTOR_CLASS = {
+    DurableTriangleIndex: VectorTriangleIndex,
+    SumPairIndex: VectorSumPairIndex,
+    UnionPairIndex: VectorUnionPairIndex,
+    PatternIndex: VectorPatternIndex,
+}
+
+
+def _parity_index(cls, tps, which):
+    """One of the three parity solvers of family ``cls``."""
+    if which == "vector":
+        return _VECTOR_CLASS[cls](tps, PARITY_EPS)
+    backend = "vector" if which == "grid-cells" else which
+    return cls(tps, PARITY_EPS, backend=backend)
 
 
 class TestBackendParity:
@@ -499,7 +505,7 @@ class TestBackendParity:
     def test_all_four_query_families_agree(self, tps, tau):
         # Triangles.
         tri = {
-            b: DurableTriangleIndex(tps, PARITY_EPS, backend=b).query(tau)
+            b: _parity_index(DurableTriangleIndex, tps, b).query(tau)
             for b in PARITY_BACKENDS
         }
         for b in PARITY_BACKENDS[1:]:
@@ -510,7 +516,7 @@ class TestBackendParity:
         sums = {
             b: {
                 r.key: r.score
-                for r in SumPairIndex(tps, PARITY_EPS, backend=b).query(tau)
+                for r in _parity_index(SumPairIndex, tps, b).query(tau)
             }
             for b in PARITY_BACKENDS
         }
@@ -521,7 +527,7 @@ class TestBackendParity:
 
         # UNION pairs (κ covers all witnesses; see PARITY_KAPPA).
         union = {
-            b: UnionPairIndex(tps, PARITY_EPS, backend=b).query(tau, PARITY_KAPPA)
+            b: _parity_index(UnionPairIndex, tps, b).query(tau, PARITY_KAPPA)
             for b in PARITY_BACKENDS
         }
         for b in PARITY_BACKENDS[1:]:
@@ -531,9 +537,7 @@ class TestBackendParity:
         for iterate in ("iter_cliques", "iter_paths", "iter_stars"):
             pats = {
                 b: list(
-                    getattr(PatternIndex(tps, PARITY_EPS, backend=b), iterate)(
-                        3, tau
-                    )
+                    getattr(_parity_index(PatternIndex, tps, b), iterate)(3, tau)
                 )
                 for b in PARITY_BACKENDS
             }
@@ -544,7 +548,8 @@ class TestBackendParity:
 
     def test_fixed_example_parity_including_engine_path(self):
         # A deterministic anchor for the property above, driven through
-        # the engine so descriptor builders (not raw classes) are used.
+        # the engine so descriptor builders (not raw classes) are used
+        # for the registered backends.
         rng = np.random.default_rng(11)
         pts = rng.integers(0, 8, size=(30, 2)).astype(float) * 0.5
         starts = rng.integers(0, 9, size=30).astype(float)
@@ -559,13 +564,16 @@ class TestBackendParity:
                     backend=b, exact=False,
                 ),
             ).records
-            for b in PARITY_BACKENDS
+            for b in ("cover-tree", "vector")
         }
+        results["grid-cells"] = _parity_index(
+            DurableTriangleIndex, tps, "grid-cells"
+        ).query(2.0)
         for b in PARITY_BACKENDS[1:]:
             assert _sorted_keys(results[b]) == _sorted_keys(
                 results["cover-tree"]
             ), b
-        assert len(results["grid"]) > 0  # the example is non-degenerate
+        assert len(results["grid-cells"]) > 0  # the example is non-degenerate
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +585,7 @@ class TestCostModel:
         small = QueryFeatures(n=100, dim=2, metric="l2", n_taus=1)
         big = QueryFeatures(n=1000, dim=2, metric="l2", n_taus=1)
         sweep = QueryFeatures(n=100, dim=2, metric="l2", n_taus=8)
-        for backend in ("cover-tree", "grid", "linf-exact", "vector"):
+        for backend in ("cover-tree", "linf-exact", "vector"):
             assert model.estimate(backend, small) < model.estimate(backend, big)
             assert model.estimate(backend, small) < model.estimate(backend, sweep)
 
@@ -592,7 +600,7 @@ class TestCostModel:
     def test_fit_round_trips_through_bench_payload(self):
         measurements = [
             {
-                "backend": "grid", "n": 200, "dim": 2, "metric": "l2",
+                "backend": "vector", "n": 200, "dim": 2, "metric": "l2",
                 "n_taus": 2, "build_seconds": 0.004, "query_seconds": 0.030,
             },
             {
@@ -601,19 +609,19 @@ class TestCostModel:
             },
         ]
         fitted = fit_coefficients(measurements)
-        assert fitted["grid"].build < fitted["cover-tree"].build
+        assert fitted["vector"].build < fitted["cover-tree"].build
         rebuilt = CostModel.from_bench({"measurements": measurements})
         direct = CostModel(fitted)
         features = QueryFeatures(n=500, dim=2, metric="l2", n_taus=3)
-        for backend in ("grid", "cover-tree"):
+        for backend in ("vector", "cover-tree"):
             assert rebuilt.estimate(backend, features) == pytest.approx(
                 direct.estimate(backend, features)
             )
         # Pre-fitted coefficients take precedence over raw measurements.
         override = CostModel.from_bench(
-            {"coefficients": {"grid": {"build": 1.0, "query": 1.0}}}
+            {"coefficients": {"vector": {"build": 1.0, "query": 1.0}}}
         )
-        assert override.estimate("grid", features) == pytest.approx(
+        assert override.estimate("vector", features) == pytest.approx(
             features.unit * (1.0 + 3 * 1.0)
         )
 
@@ -623,16 +631,16 @@ class TestCostModel:
         with pytest.raises(ValidationError):
             CostModel.from_bench({})
         with pytest.raises(ValidationError):
-            CostModel({"grid": {"build": "fast"}})
+            CostModel({"vector": {"build": "fast"}})
 
     def test_recalibrated_registry_can_flip_the_choice(self):
         # Coefficients that price the cover tree at ~zero must flip an
-        # lp dataset's auto choice away from the grid.
+        # lp dataset's auto choice away from the vector backend.
         registry = fresh_registry()
         registry.cost_model = CostModel(
             {
                 "cover-tree": {"build": 1e-12, "query": 1e-12},
-                "grid": {"build": 1e-3, "query": 1e-3},
+                "vector": {"build": 1e-3, "query": 1e-3},
             }
         )
         tps = random_tps(n=40, seed=6)
@@ -692,7 +700,7 @@ class TestServeIntegration:
                 "include_records": False,
                 "queries": [
                     {"kind": "triangles", "tau": 2.0},
-                    {"kind": "triangles", "tau": 2.0, "backend": "grid"},
+                    {"kind": "triangles", "tau": 2.0, "backend": "vector"},
                 ],
             },
         )
@@ -703,8 +711,8 @@ class TestServeIntegration:
         backends = shard_stats["backends"]
         assert backends["cover-tree"]["queries"] == 1
         assert backends["cover-tree"]["builds"] == 1
-        assert backends["grid"]["queries"] == 1
-        assert backends["grid"]["builds"] == 1
+        assert backends["vector"]["queries"] == 1
+        assert backends["vector"]["builds"] == 1
         assert shard_stats["dataset"]["default_backend"] == "cover-tree"
 
     def test_counters_attribute_cache_hits_and_resolved_auto(self, server):
@@ -790,12 +798,37 @@ class TestServeIntegration:
         assert status == 400
         assert "registered backends" in json.loads(data)["error"]
 
+    @pytest.mark.parametrize(
+        "query, needle",
+        [
+            ({"kind": "triangles", "tau": 2.0, "backend": "grid"},
+             "unknown backend 'grid'"),
+            ({"kind": "pairs-sum", "tau": 2.0, "sum_backend": "profile"},
+             "unknown query field(s) ['sum_backend']"),
+        ],
+    )
+    def test_removed_query_options_are_a_400_with_trace_id(
+        self, server, query, needle
+    ):
+        status, _ = self._request(
+            server, "POST", "/datasets",
+            {"name": "ds", "dataset": {"workload": "uniform", "n": 30}},
+        )
+        assert status == 201
+        status, data = self._request(
+            server, "POST", "/query", {"dataset": "ds", "queries": [query]}
+        )
+        assert status == 400
+        body = json.loads(data)
+        assert needle in body["error"]
+        assert body["trace_id"]
+
     def test_registry_level_default_backend(self):
         from repro.serve import DatasetRegistry
 
-        registry = DatasetRegistry(default_backend="grid")
+        registry = DatasetRegistry(default_backend="vector")
         shard = registry.register("d", random_tps(n=20, seed=1))
-        assert shard.default_backend == "grid"
+        assert shard.default_backend == "vector"
         override = registry.register(
             "e", random_tps(n=20, seed=2), default_backend="cover-tree"
         )
@@ -817,7 +850,7 @@ class TestCli:
     def test_backends_lists_descriptors(self):
         code, text = run_cli("backends")
         assert code == 0
-        for name in ("cover-tree", "grid", "linf-exact", "vector"):
+        for name in ("cover-tree", "linf-exact", "vector"):
             assert name in text
         assert "exact" in text and "kinds:" in text
 
@@ -826,7 +859,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(text)
         assert {c["name"] for c in doc["backends"]} == {
-            "cover-tree", "grid", "linf-exact", "vector",
+            "cover-tree", "linf-exact", "vector",
         }
         assert "cover-tree" in doc["cost_coefficients"]
 
@@ -854,7 +887,7 @@ class TestCli:
             json.dumps(
                 [
                     {"kind": "triangles", "tau": 3.0},
-                    {"kind": "triangles", "tau": 3.0, "backend": "grid"},
+                    {"kind": "triangles", "tau": 3.0, "backend": "vector"},
                 ]
             )
         )
@@ -866,7 +899,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         backends = [q["index"]["backend"] for q in payload["queries"]]
-        assert backends == ["cover-tree", "grid"]  # explicit entry wins
+        assert backends == ["cover-tree", "vector"]  # explicit entry wins
 
     def test_unknown_backend_flag_exits_2(self):
         code, _ = run_cli("triangles", "--n", "40", "--tau", "3",
@@ -876,7 +909,7 @@ class TestCli:
     def test_batch_unknown_backend_fails_even_with_explicit_queries(self, tmp_path):
         qfile = tmp_path / "queries.json"
         qfile.write_text(json.dumps([{"kind": "triangles", "tau": 3.0,
-                                      "backend": "grid"}]))
+                                      "backend": "vector"}]))
         code, _ = run_cli("batch", str(qfile), "--n", "40", "--backend", "annoy")
         assert code == 2
 
@@ -897,4 +930,4 @@ class TestCli:
         payload = json.loads(out.read_text())
         backends = [q["index"]["backend"] for q in payload["queries"]]
         assert backends[0] == "linf-exact"
-        assert backends[1] in ("cover-tree", "grid", "vector")
+        assert backends[1] in ("cover-tree", "vector")

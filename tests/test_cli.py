@@ -290,7 +290,7 @@ class TestRouteCommand:
         args = build_parser().parse_args(
             [
                 "route", "--workers", "3", "--port", "0",
-                "--worker-backends", "grid,cover-tree",
+                "--worker-backends", "vector,cover-tree",
                 "--worker-backends", "any",
                 "--manifest", "/tmp/m.json",
                 "--probe-interval", "0.3",
@@ -298,15 +298,15 @@ class TestRouteCommand:
             ]
         )
         assert args.command == "route" and args.workers == 3
-        assert args.worker_backends == ["grid,cover-tree", "any"]
+        assert args.worker_backends == ["vector,cover-tree", "any"]
 
     def test_parse_worker_backends(self):
         from repro.cli import _parse_worker_backends
         from repro.errors import ValidationError
 
         assert _parse_worker_backends([]) is None
-        assert _parse_worker_backends(["grid,cover-tree", "any", "*"]) == [
-            ["grid", "cover-tree"], None, None,
+        assert _parse_worker_backends(["vector,cover-tree", "any", "*"]) == [
+            ["vector", "cover-tree"], None, None,
         ]
         with pytest.raises(ValidationError):
             _parse_worker_backends([" , "])
@@ -316,6 +316,6 @@ class TestRouteCommand:
         from repro.router import WorkerPool
 
         with pytest.raises(ValidationError, match="backend subsets"):
-            WorkerPool(workers=1, worker_backends=[["grid"], ["cover-tree"]])
+            WorkerPool(workers=1, worker_backends=[["vector"], ["cover-tree"]])
         with pytest.raises(ValidationError, match="at least 1 worker"):
             WorkerPool(workers=0)

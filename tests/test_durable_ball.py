@@ -24,7 +24,10 @@ def brute_partners(tps, p, tau, radius):
 
 class TestQuery:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("backend", ["cover-tree", "grid"])
+    # "grid": the vector backend's grid-cell decomposition (Remark 1).
+    @pytest.mark.parametrize(
+        "backend", ["cover-tree", pytest.param("vector", id="grid")]
+    )
     def test_sandwich_per_anchor(self, seed, backend):
         tps = random_tps(n=80, seed=seed)
         st = DurableBallStructure(tps, resolution=0.125, backend=backend)
@@ -120,7 +123,7 @@ class TestConstruction:
             tps.points, tps.starts, tps.ends, metric=lambda x, y: 0.0
         )
         with pytest.raises(BackendError):
-            make_decomposition(custom, 0.25, backend="grid")
+            make_decomposition(custom, 0.25, backend="vector")
 
     def test_group_index_of(self):
         tps = random_tps(n=40, seed=3)

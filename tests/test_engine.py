@@ -71,7 +71,7 @@ class TestQuerySpec:
             {"kind": "triangles", "taus": 1.0, "m": 3},
             {"kind": "pairs-sum", "taus": 1.0, "exact": True},
             {"kind": "triangles", "taus": 1.0, "backend": "linf-exact", "exact": False},
-            {"kind": "pairs-sum", "taus": 1.0, "sum_backend": "bogus"},
+            {"kind": "pairs-sum", "taus": 1.0, "backend": "grid"},  # unregistered
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

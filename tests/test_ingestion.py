@@ -133,7 +133,7 @@ class TestEpochedPointSet:
 # IndexCache.advance — satellite 3
 # ----------------------------------------------------------------------
 def _key(family: str, fp: str) -> IndexKey:
-    return IndexKey(family=family, fingerprint=fp, epsilon=0.5, backend="grid")
+    return IndexKey(family=family, fingerprint=fp, epsilon=0.5, backend="vector")
 
 
 class TestCacheAdvance:
@@ -332,14 +332,15 @@ class TestShardAppend:
 
     def test_small_append_maintains_triangles_invalidates_rest(self):
         # The acceptance assertion: after an append, the maintainable
-        # families (triangles and SUM pairs over the grid) still hit the
-        # cache while affected families rebuild — exactly once — on
-        # their next use.
+        # families (triangles and SUM pairs over the vector backend)
+        # still hit the cache while families that cannot extend (UNION
+        # pairs over the cover tree) rebuild — exactly once — on their
+        # next use.
         shard = DatasetShard("d", random_tps(n=40))
         specs = [
-            QuerySpec(kind="triangles", taus=2.0, backend="grid"),
-            QuerySpec(kind="pairs-sum", taus=2.0, backend="grid"),
-            QuerySpec(kind="pairs-union", taus=2.0, kappa=4, backend="grid"),
+            QuerySpec(kind="triangles", taus=2.0, backend="vector"),
+            QuerySpec(kind="pairs-sum", taus=2.0, backend="vector"),
+            QuerySpec(kind="pairs-union", taus=2.0, kappa=4, backend="cover-tree"),
         ]
         try:
             self._warm(shard, specs)
@@ -391,7 +392,7 @@ class TestShardAppend:
 
     def test_large_batch_skips_maintenance_rebuild_on_threshold(self):
         shard = DatasetShard("d", random_tps(n=10))
-        spec = QuerySpec(kind="triangles", taus=2.0, backend="grid")
+        spec = QuerySpec(kind="triangles", taus=2.0, backend="vector")
         try:
             self._warm(shard, [spec])
             batch = "\n".join(
@@ -447,13 +448,9 @@ class TestShardAppend:
 # Acceptance: append-then-query ≡ fresh registration of the merged set
 # ----------------------------------------------------------------------
 ALL_FAMILY_SPECS = [
-    QuerySpec(kind="triangles", taus=(1.0, 2.0, 3.0), backend="grid"),
     QuerySpec(kind="triangles", taus=(2.0,), backend="cover-tree"),
-    QuerySpec(kind="pairs-sum", taus=(2.0, 4.0), backend="grid"),
-    QuerySpec(kind="pairs-union", taus=(2.0,), kappa=64, backend="grid"),
-    QuerySpec(kind="cliques", taus=(2.0,), m=3, backend="grid"),
-    # The SoA vector backend rides the same IndexCache.advance path —
-    # every family must survive chained appends with identical answers.
+    # The SoA vector backend rides the IndexCache.advance path — every
+    # family must survive chained appends with identical answers.
     QuerySpec(kind="triangles", taus=(1.0, 2.0, 3.0), backend="vector"),
     QuerySpec(kind="pairs-sum", taus=(2.0, 4.0), backend="vector"),
     QuerySpec(kind="pairs-union", taus=(2.0,), kappa=64, backend="vector"),
@@ -473,7 +470,7 @@ def _record_sets(shard) -> list:
 
 def _pair_scores(shard) -> dict:
     plans = plan_batch(
-        [QuerySpec(kind="pairs-sum", taus=(2.0,), backend="grid")], shard.tps
+        [QuerySpec(kind="pairs-sum", taus=(2.0,), backend="vector")], shard.tps
     )
     result = execute_plans(plans, shard.cache, parallel=False)[0]
     return {r.key: r.score for r in result.records_by_tau[2.0]}
@@ -520,12 +517,13 @@ class TestAppendQueryIdentity:
 
     def test_maintained_index_chain_matches_fresh(self):
         # Deterministic anchor: three successive appends, each epoch's
-        # triangle answers checked against a cold build — the grid
-        # extension path must stay identical arbitrarily deep.
+        # triangle answers checked against a cold build — the grid-cell
+        # extension path of the object-graph solver must stay identical
+        # arbitrarily deep.
         from repro.core.triangles import DurableTriangleIndex
 
         full = random_tps(n=48, seed=3)
-        idx = DurableTriangleIndex(_prefix(full, 24), 0.5, backend="grid")
+        idx = DurableTriangleIndex(_prefix(full, 24), 0.5, backend="vector")
         current = idx.tps
         for hi in (32, 40, 48):
             current = current.with_events(
@@ -535,7 +533,7 @@ class TestAppendQueryIdentity:
             )
             idx = idx.maintained(current)
             assert idx is not None
-            cold = DurableTriangleIndex(current, 0.5, backend="grid")
+            cold = DurableTriangleIndex(current, 0.5, backend="vector")
             for tau in (1.0, 2.0, 4.0):
                 assert _sorted_keys(idx.query(tau)) == _sorted_keys(
                     cold.query(tau)
@@ -552,18 +550,14 @@ class TestAppendQueryIdentity:
         )
         assert idx.maintained(merged) is None
 
-    @pytest.mark.parametrize("sum_backend", ["profile", "tree"])
-    def test_sum_pair_maintained_chain_matches_fresh(self, sum_backend):
+    def test_sum_pair_maintained_chain_matches_fresh(self):
         # Same contract for the SUM pair family: successive appends
         # through `maintained` must answer identically (membership AND
-        # witness scores) to a cold build at every epoch, for both SUM
-        # structures.
+        # witness scores) to a cold build at every epoch.
         from repro.core.aggregate import SumPairIndex
 
         full = random_tps(n=48, seed=7)
-        idx = SumPairIndex(
-            _prefix(full, 24), 0.5, backend="grid", sum_backend=sum_backend
-        )
+        idx = SumPairIndex(_prefix(full, 24), 0.5, backend="vector")
         current = idx.tps
         for hi in (32, 40, 48):
             current = current.with_events(
@@ -573,9 +567,7 @@ class TestAppendQueryIdentity:
             )
             idx = idx.maintained(current)
             assert idx is not None
-            cold = SumPairIndex(
-                current, 0.5, backend="grid", sum_backend=sum_backend
-            )
+            cold = SumPairIndex(current, 0.5, backend="vector")
             for tau in (0.5, 1.0, 2.0):
                 hot = sorted((r.key, r.score) for r in idx.query(tau))
                 ref = sorted((r.key, r.score) for r in cold.query(tau))
@@ -824,7 +816,7 @@ def _router_triangle_keys(handle, dataset, tau=2.0):
         handle, "POST", "/query",
         {
             "dataset": dataset,
-            "queries": [{"kind": "triangles", "tau": tau, "backend": "grid"}],
+            "queries": [{"kind": "triangles", "tau": tau, "backend": "vector"}],
             "include_records": True,
         },
     )
@@ -891,7 +883,7 @@ class TestRouterIngestion:
             expected = DatasetShard("expected", merged)
             try:
                 plans = plan_batch(
-                    [QuerySpec(kind="triangles", taus=2.0, backend="grid")],
+                    [QuerySpec(kind="triangles", taus=2.0, backend="vector")],
                     merged,
                 )
                 result = execute_plans(plans, expected.cache, parallel=False)[0]

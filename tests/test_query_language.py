@@ -155,7 +155,7 @@ def spec_payloads(draw):
             )
         ),
         "epsilon": draw(st.sampled_from([0.2, 0.5, 1.0])),
-        "backend": draw(st.sampled_from(["auto", "grid", "cover-tree"])),
+        "backend": draw(st.sampled_from(["auto", "vector", "cover-tree"])),
     }
     if draw(st.booleans()):
         payload["label"] = draw(st.text(max_size=12))
@@ -164,8 +164,6 @@ def spec_payloads(draw):
     elif kind in ("cliques", "paths", "stars"):
         if draw(st.booleans()):
             payload["m"] = draw(st.integers(2, 6))
-    elif kind == "pairs-sum":
-        payload["sum_backend"] = draw(st.sampled_from(["profile", "tree"]))
     elif kind == "triangles":
         exact = draw(st.sampled_from([None, True]))
         if exact is not None:
@@ -189,11 +187,10 @@ class TestSpecRoundTrip:
         specs = [
             QuerySpec(
                 kind="triangles", taus=(2.0, 3.0), epsilon=0.25,
-                backend="grid", exact=False, label="t",
+                backend="vector", exact=False, label="t",
             ),
             QuerySpec(kind="pairs-union", taus=2.0, kappa=7, label="u"),
             QuerySpec(kind="paths", taus=2.0, m=5),
-            QuerySpec(kind="pairs-sum", taus=2.0, sum_backend="tree"),
             QuerySpec(
                 kind="pattern-dsl", taus=2.0,
                 pattern="seq(pairs(agg=sum), triangles(), gap=[0, 5])",
@@ -206,8 +203,7 @@ class TestSpecRoundTrip:
         assert specs[0].to_dict()["exact"] is False
         assert specs[1].to_dict()["kappa"] == 7
         assert specs[2].to_dict()["m"] == 5
-        assert specs[3].to_dict()["sum_backend"] == "tree"
-        assert "seq" in specs[4].to_dict()["pattern"]
+        assert "seq" in specs[3].to_dict()["pattern"]
         # ...and defaults are omitted (stable minimal wire form).
         minimal = QuerySpec(kind="triangles", taus=2.0).to_dict()
         assert set(minimal) == {"kind", "taus"}
@@ -240,14 +236,14 @@ class TestDslLegacyEquivalence:
             native = engine.run(
                 tps,
                 QuerySpec(
-                    taus=tau, epsilon=PARITY_EPS, backend="grid", **kwargs
+                    taus=tau, epsilon=PARITY_EPS, backend="vector", **kwargs
                 ),
             )
             dsl = engine.run(
                 tps,
                 QuerySpec(
                     kind="pattern-dsl", taus=tau, epsilon=PARITY_EPS,
-                    backend="grid", pattern=text,
+                    backend="vector", pattern=text,
                 ),
             )
             assert sorted(r.key for r in dsl.records) == sorted(
@@ -266,9 +262,9 @@ class TestStagedExecution:
     def test_stage_timings_and_cache_sharing(self):
         tps = random_tps(n=40, seed=4)
         engine = QueryEngine()
-        engine.run(tps, QuerySpec(kind="triangles", taus=2.0, backend="grid"))
+        engine.run(tps, QuerySpec(kind="triangles", taus=2.0, backend="vector"))
         spec = QuerySpec(
-            kind="pattern-dsl", taus=2.0, backend="grid",
+            kind="pattern-dsl", taus=2.0, backend="vector",
             pattern="seq(triangles(), pairs(agg=sum), gap=[0, 8])",
         )
         first = engine.run(tps, spec)
@@ -294,7 +290,7 @@ class TestStagedExecution:
         res = engine.run(
             tps,
             QuerySpec(
-                kind="pattern-dsl", taus=2.0, backend="grid",
+                kind="pattern-dsl", taus=2.0, backend="vector",
                 pattern="seq(pairs(agg=sum), pairs(agg=sum), gap=[0, 4])",
             ),
         )
@@ -316,7 +312,7 @@ class TestStagedExecution:
         tps = random_tps(n=120, seed=0, box=2.0)
         engine = QueryEngine()
         spec = QuerySpec(
-            kind="pattern-dsl", taus=1.0, backend="grid",
+            kind="pattern-dsl", taus=1.0, backend="vector",
             pattern="seq(pairs(), pairs(), pairs(), pairs())",
         )
         with pytest.raises(ValidationError, match="combinations"):
@@ -362,7 +358,7 @@ def _wire_key(doc):
 def _matches(engine, tps, tau, **kwargs):
     """(key, interval) for every native match of one primitive."""
     records = engine.run(
-        tps, QuerySpec(taus=tau, backend="grid", **kwargs)
+        tps, QuerySpec(taus=tau, backend="vector", **kwargs)
     ).records
     out = []
     for r in records:
@@ -543,9 +539,9 @@ class TestCliSurfaces:
     def test_batch_runs_dsl_entries(self, tmp_path):
         doc = {
             "queries": [
-                {"kind": "triangles", "tau": 2.0, "backend": "grid"},
+                {"kind": "triangles", "tau": 2.0, "backend": "vector"},
                 {
-                    "kind": "pattern-dsl", "tau": 2.0, "backend": "grid",
+                    "kind": "pattern-dsl", "tau": 2.0, "backend": "vector",
                     "pattern": "seq(triangles(), triangles(), gap=[0, 4])",
                     "label": "chain",
                 },
@@ -585,7 +581,7 @@ class TestPlanning:
     def test_shared_leaves_fold_into_one_stage(self):
         tps = random_tps(n=30, seed=1)
         spec = QuerySpec(
-            kind="pattern-dsl", taus=2.0, backend="grid",
+            kind="pattern-dsl", taus=2.0, backend="vector",
             pattern="seq(pairs(agg=sum), pairs(agg=sum), pairs(agg=sum))",
         )
         plan = plan_query(0, spec, tps)

@@ -132,11 +132,11 @@ class TestPlacement:
                 assert after == before[name]
 
     def test_cost_weight_biases_toward_cheaper_backend(self):
-        grid_only = self.model.placement_weight(self.features, ["grid"])
+        vector_only = self.model.placement_weight(self.features, ["vector"])
         tree_only = self.model.placement_weight(self.features, ["cover-tree"])
-        assert grid_only > tree_only  # grid is the cheaper backend
+        assert vector_only > tree_only  # vector is the cheaper backend
         het = [
-            WorkerCandidate("worker-0", ("grid",)),
+            WorkerCandidate("worker-0", ("vector",)),
             WorkerCandidate("worker-1", ("cover-tree",)),
         ]
         counts = Counter(

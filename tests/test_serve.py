@@ -116,6 +116,28 @@ class TestProtocol:
         )
         assert status == 201
 
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            {"workload": "uniform", "n": None},
+            {"workload": "uniform", "n": "50"},
+            {"workload": "uniform", "n": -3},
+            {"workload": "uniform", "n": 2.5},
+            {"workload": "uniform", "n": 20, "seed": "x"},
+            {"workload": "uniform", "n": 20, "metric": "bogus"},
+            {"csv": "/nonexistent/dataset.csv"},
+            {"csv": __file__},  # exists, but is not numeric CSV
+        ],
+    )
+    def test_malformed_dataset_spec_is_400_with_trace_id(self, server, dataset):
+        status, doc = request_json(
+            server, "POST", "/datasets", {"name": "malformed", "dataset": dataset}
+        )
+        assert status == 400, doc
+        assert doc["trace_id"]
+        # A CSV that fails to parse must not echo its content back.
+        assert "Tests for the async serving" not in doc["error"]
+
     def test_register_bad_spec_is_400(self, server):
         status, doc = request_json(
             server, "POST", "/datasets",

@@ -14,6 +14,7 @@ mid-chunked-stream.
 import asyncio
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -439,6 +440,25 @@ class TestShutdownDrain:
             assert not handle._thread.is_alive()
         finally:
             handle.stop()
+
+    def test_stop_with_idle_keepalive_connection_is_silent(self, caplog, capfd):
+        # A client parked between requests on a kept-alive socket: the
+        # shutdown drain cancels its connection task, which must not
+        # surface as an unretrieved CancelledError traceback.
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        handle = start_server_thread(port=0)
+        raw = RawConnection(handle)
+        try:
+            raw.send_request("GET", "/health")
+            status, headers, _ = raw.read_json()
+            assert status == 200 and headers["connection"] == "keep-alive"
+            handle.stop()
+            assert not handle._thread.is_alive()
+        finally:
+            raw.close()
+            handle.stop()
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_shutdown_response_closes_its_own_connection(self):
         handle = start_server_thread()

@@ -1,4 +1,4 @@
-"""Tests for ITΣ and the coverage profile (ComputeSumD, Section 5.1)."""
+"""Tests for the coverage profile (ComputeSumD, Section 5.1)."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ValidationError
-from repro.temporal import AnnotatedIntervalTree, CoverageProfile
+from repro.temporal import CoverageProfile
 
 from conftest import random_intervals
 
@@ -19,7 +19,7 @@ def brute_sum(ivs, a, b):
     return total
 
 
-STRUCTS = [AnnotatedIntervalTree, CoverageProfile]
+STRUCTS = [CoverageProfile]
 
 
 @pytest.mark.parametrize("cls", STRUCTS)
@@ -86,21 +86,6 @@ class TestComputeSumD:
 
 
 class TestCrossValidation:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tree_equals_profile(self, seed):
-        ivs = random_intervals(120, seed=seed + 31)
-        tree = AnnotatedIntervalTree(ivs)
-        prof = CoverageProfile(ivs)
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            a = float(rng.uniform(-10, 90))
-            b = a + float(rng.uniform(0, 50))
-            assert math.isclose(
-                tree.sum_intersections(a, b),
-                prof.sum_intersections(a, b),
-                abs_tol=1e-6,
-            )
-
     def test_monotone_in_query(self):
         ivs = random_intervals(60, seed=5)
         prof = CoverageProfile(ivs)

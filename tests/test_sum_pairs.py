@@ -38,16 +38,10 @@ class TestGuarantees:
         idx = SumPairIndex(tps, epsilon=0.5)
         assert_pair_sandwich(tps, 3.0, 0.5, idx.query(3.0))
 
-    def test_tree_and_profile_agree(self):
-        tps = random_tps(n=50, seed=17)
-        a = SumPairIndex(tps, epsilon=0.5, sum_backend="profile")
-        b = SumPairIndex(tps, epsilon=0.5, sum_backend="tree")
-        for tau in (2.0, 4.0):
-            assert {r.key for r in a.query(tau)} == {r.key for r in b.query(tau)}
-
     def test_grid_backend(self):
         tps = random_tps(n=45, seed=23)
-        idx = SumPairIndex(tps, epsilon=0.5, backend="grid")
+        # The object-graph solver over the vector backend's grid cells.
+        idx = SumPairIndex(tps, epsilon=0.5, backend="vector")
         assert_pair_sandwich(tps, 3.0, 0.5, idx.query(3.0))
 
 
@@ -89,7 +83,7 @@ class TestEdgeCases:
         with pytest.raises(ValidationError):
             SumPairIndex(tps, epsilon=2.0)
         with pytest.raises(BackendError):
-            SumPairIndex(tps, sum_backend="bogus")
+            SumPairIndex(tps, backend="bogus")
         with pytest.raises(ValidationError):
             SumPairIndex(tps).query(0.0)
 

@@ -39,7 +39,10 @@ class TestGuarantees:
         idx = DurableTriangleIndex(tps, epsilon=0.5)
         assert_sandwich(tps, 2.0, 0.5, idx.query(2.0))
 
-    @pytest.mark.parametrize("backend", ["cover-tree", "grid"])
+    # "grid": the vector backend's grid-cell decomposition (Remark 1).
+    @pytest.mark.parametrize(
+        "backend", ["cover-tree", pytest.param("vector", id="grid")]
+    )
     def test_backends_agree_on_guarantee(self, backend):
         tps = random_tps(n=60, seed=13)
         idx = DurableTriangleIndex(tps, epsilon=0.5, backend=backend)
