@@ -30,6 +30,12 @@ over the shared :class:`~repro.backends.vector.soa.SoALayout`:
 * :class:`VectorPatternIndex` — the Appendix D reporters over batched
   per-(τ, radius) anchor contexts and a vectorised link table.
 
+Every family is monotone in τ, so each index keeps, per query parameter,
+the answer at the lowest τ it has served together with each record's
+activation predicate (a :class:`ThresholdTable`, Definition 4.1); any
+τ at or above that floor is one exact mask over the table (DESIGN.md
+note 8).
+
 Record sets are identical to those of the legacy object-graph solvers
 run over the same grid cells (``SumPairIndex(tps, ε, backend="vector")``
 and friends) for every family, which the three-way hypothesis parity
@@ -39,12 +45,16 @@ All four implement ``maintained()`` — the layout recompute over the
 merged set is vectorised and produces the canonical cell order a fresh
 build yields, so maintained indexes are *identical* to fresh ones;
 per-cell derived structures (profiles, overlap indexes) are carried
-over for cells the append did not touch (:func:`transfer_cell_cache`).
+over for cells the append did not touch (:func:`transfer_cell_cache`),
+and threshold tables are not carried at all: a maintained clone starts
+with none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +65,7 @@ from ...errors import ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
 from ...temporal.interval import Interval
 from ...temporal.max_overlap import MaxOverlapIndex
-from ...types import PairRecord, TemporalPointSet, TriangleRecord
+from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
     SoALayout,
@@ -73,6 +83,15 @@ __all__ = [
     "VecProfile",
     "transfer_cell_cache",
 ]
+
+#: Query parameters (κ for UNION pairs, ``(shape, m)`` for patterns)
+#: whose threshold tables one index retains; the least recently used is
+#: evicted.  Two, because ``cliques m=4`` and the DSL's ``clique(m=3)``
+#: share one pattern index.
+TABLE_SLOTS = 2
+
+#: An answer with more records than this is returned but not retained.
+TABLE_MAX_RECORDS = 20_000
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -281,10 +300,108 @@ def transfer_cell_cache(
     return out
 
 
+def _run_minimum(
+    values: np.ndarray, run_start: np.ndarray, run_m: np.ndarray
+) -> np.ndarray:
+    """Running minimum of ``values`` within each contiguous run.
+
+    A doubling scan; ``np.minimum`` is exact, so every entry equals the
+    scalar left-to-right minimum bit for bit.
+    """
+    out = values.copy()
+    if not len(out):
+        return out
+    offset = np.arange(len(out)) - np.repeat(run_start, run_m)
+    step, longest = 1, int(run_m.max())
+    while step < longest:
+        idx = np.flatnonzero(offset >= step)
+        out[idx] = np.minimum(out[idx], out[idx - step])
+        step *= 2
+    return out
+
+
+class ThresholdTable:
+    """One family's answer at ``tau`` plus each record's activation test.
+
+    Record ``i`` is reported at every ``τ' ≥ tau`` for which
+    ``dur[i] ≥ τ'`` (its anchor's durability), ``end[i] ≥ start[i] + τ'``
+    (its smallest partner end against the anchor's start) and, for
+    pairs, ``score[i] ≥ scale·τ'`` (the running minimum of the score
+    along its ``(anchor, cell)`` run: Algorithm 4/8's break rule).  The
+    comparisons are the kernels' own float expressions, so the mask is
+    exact and keeps the kernel's record order.  Instances are never
+    mutated after construction.
+    """
+
+    __slots__ = ("tau", "records", "dur", "start", "end", "score", "scale")
+
+    def __init__(
+        self,
+        tau: float,
+        records: list,
+        lay: SoALayout,
+        anchors: np.ndarray,
+        end: np.ndarray,
+        score: Optional[np.ndarray] = None,
+        scale: float = 1.0,
+    ) -> None:
+        self.tau = tau
+        self.records = records
+        self.start = lay.starts[anchors]
+        self.dur = lay.ends[anchors] - self.start
+        self.end = end
+        self.score = score
+        self.scale = scale
+
+    def answer(self, tau: float) -> list:
+        """The records reported at ``tau`` (``tau ≥ self.tau``)."""
+        keep = (self.dur >= tau) & (self.end >= self.start + tau)
+        if self.score is not None:
+            keep &= self.score >= self.scale * tau
+        records = self.records
+        return [records[i] for i in np.flatnonzero(keep).tolist()]
+
+
+class _ThresholdTables:
+    """Per-index LRU of :class:`ThresholdTable`, one per query parameter.
+
+    Lookups and installs hold a lock only around the slot map; kernels
+    run outside it.  A table is replaced only by one with a lower τ, so
+    an index's floor only moves down.
+    """
+
+    def _reset_tables(self) -> None:
+        self._tables: "OrderedDict[Hashable, ThresholdTable]" = OrderedDict()
+        self._tables_lock = threading.Lock()
+
+    def _tabled(
+        self,
+        param: Hashable,
+        tau: float,
+        kernel: Callable[[float], ThresholdTable],
+    ) -> list:
+        with self._tables_lock:
+            table = self._tables.get(param)
+            if table is not None:
+                self._tables.move_to_end(param)
+        if table is not None and tau >= table.tau:
+            return table.answer(tau)
+        table = kernel(tau)
+        if len(table.records) <= TABLE_MAX_RECORDS:
+            with self._tables_lock:
+                old = self._tables.get(param)
+                if old is None or table.tau < old.tau:
+                    self._tables[param] = table
+                    self._tables.move_to_end(param)
+                while len(self._tables) > TABLE_SLOTS:
+                    self._tables.popitem(last=False)
+        return list(table.records)
+
+
 # ----------------------------------------------------------------------
 # Triangles
 # ----------------------------------------------------------------------
-class VectorTriangleIndex(DurableTriangleIndex):
+class VectorTriangleIndex(_ThresholdTables, DurableTriangleIndex):
     """Algorithm 1 over SoA kernels (record-identical to the object-graph
     solver over the same grid cells)."""
 
@@ -295,6 +412,7 @@ class VectorTriangleIndex(DurableTriangleIndex):
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
+        self._reset_tables()
 
     def maintained(self, tps: TemporalPointSet) -> "VectorTriangleIndex":
         clone = object.__new__(type(self))
@@ -302,11 +420,15 @@ class VectorTriangleIndex(DurableTriangleIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
+        clone._reset_tables()
         return clone
 
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[TriangleRecord]:
         self._check_tau(tau)
+        return self._tabled(None, tau, self._table)
+
+    def _table(self, tau: float) -> ThresholdTable:
         st = self.structure
         lay = st.layout
         metric = self.tps.metric
@@ -314,10 +436,13 @@ class VectorTriangleIndex(DurableTriangleIndex):
         res = st.resolution
         link_thr = _link_threshold(res)
         out: List[TriangleRecord] = []
+        empty = np.empty(0, dtype=np.int64)
+        anchor_parts, end_parts = [empty], [np.empty(0)]
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        cai, cci = (
+            _candidate_pairs(lay, metric, eligible, 1.0, res)
+            if len(eligible) else (empty, empty)
+        )
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
             if expanded is None:
@@ -362,9 +487,8 @@ class VectorTriangleIndex(DurableTriangleIndex):
                 a_ids, b_ids, anchors_pq = a_ids[ok], b_ids[ok], anchors_pq[ok]
                 if not len(a_ids):
                     continue
-                e3 = np.minimum(
-                    ends[anchors_pq], np.minimum(ends[a_ids], ends[b_ids])
-                )
+                partner_end = np.minimum(ends[a_ids], ends[b_ids])
+                e3 = np.minimum(ends[anchors_pq], partner_end)
                 sa = starts[anchors_pq]
                 qm = np.minimum(a_ids, b_ids)
                 sm = np.maximum(a_ids, b_ids)
@@ -375,7 +499,11 @@ class VectorTriangleIndex(DurableTriangleIndex):
                     )
                     for a, x, y, s0, ee in zip(anchors_pq, qm, sm, sa, e3)
                 )
-        return out
+                anchor_parts.append(anchors_pq)
+                end_parts.append(partner_end)
+        return ThresholdTable(
+            tau, out, lay, np.concatenate(anchor_parts), np.concatenate(end_parts)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +614,7 @@ class LazyOverlaps:
 # ----------------------------------------------------------------------
 # SUM pairs
 # ----------------------------------------------------------------------
-class VectorSumPairIndex(SumPairIndex):
+class VectorSumPairIndex(_ThresholdTables, SumPairIndex):
     """Algorithm 4 with batched partner *and* witness scoring."""
 
     def __init__(
@@ -500,6 +628,7 @@ class VectorSumPairIndex(SumPairIndex):
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
         self._sums = LazyProfiles(self.structure.layout)
+        self._reset_tables()
 
     def maintained(self, tps: TemporalPointSet) -> "VectorSumPairIndex":
         clone = object.__new__(type(self))
@@ -507,6 +636,7 @@ class VectorSumPairIndex(SumPairIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
+        clone._reset_tables()
         clone._sums = LazyProfiles(clone.structure.layout)
         clone._sums.cache.update(
             transfer_cell_cache(
@@ -521,16 +651,22 @@ class VectorSumPairIndex(SumPairIndex):
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
         self._check_params(tau)
+        return self._tabled(None, tau, self._table)
+
+    def _table(self, tau: float) -> ThresholdTable:
         st = self.structure
         lay = st.layout
         metric = self.tps.metric
         res = st.resolution
         link_thr = _link_threshold(res)
         out: List[PairRecord] = []
+        empty = np.empty(0, dtype=np.int64)
+        p_parts, q_parts, min_parts = [empty], [empty], [np.empty(0)]
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        cai, cci = (
+            _candidate_pairs(lay, metric, eligible, 1.0, res)
+            if len(eligible) else (empty, empty)
+        )
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -582,23 +718,27 @@ class VectorSumPairIndex(SumPairIndex):
             )
             total = np.where(np.repeat(p_counted, run_m), total - window, total)
             # Partners are in shrinking-window order within a run: the
-            # first failing partner ends the run (Algorithm 4's break).
-            pos = np.arange(n_pairs)
-            first_fail = np.minimum.reduceat(
-                np.where(total < tau, pos, n_pairs), run_start
-            )
-            keep = np.nonzero(pos < np.repeat(first_fail, run_m))[0]
+            # first failing partner ends the run (Algorithm 4's break),
+            # i.e. a pair is kept iff its run's minimum so far is ≥ τ.
+            run_min = _run_minimum(total, run_start, run_m)
+            keep = np.flatnonzero(run_min >= tau)
             out.extend(
                 PairRecord(p=int(pp[i]), q=int(qq[i]), score=float(total[i]))
                 for i in keep
             )
-        return out
+            p_parts.append(pp[keep])
+            q_parts.append(qq[keep])
+            min_parts.append(run_min[keep])
+        return ThresholdTable(
+            tau, out, lay, np.concatenate(p_parts),
+            lay.ends[np.concatenate(q_parts)], np.concatenate(min_parts),
+        )
 
 
 # ----------------------------------------------------------------------
 # UNION pairs
 # ----------------------------------------------------------------------
-class VectorUnionPairIndex(UnionPairIndex):
+class VectorUnionPairIndex(_ThresholdTables, UnionPairIndex):
     """Algorithm 8 over array candidate generation + lazy ``IT∪``."""
 
     def __init__(
@@ -609,6 +749,7 @@ class VectorUnionPairIndex(UnionPairIndex):
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
         self._overlaps = LazyOverlaps(self.structure.layout)
+        self._reset_tables()
 
     def maintained(self, tps: TemporalPointSet) -> "VectorUnionPairIndex":
         clone = object.__new__(type(self))
@@ -616,6 +757,7 @@ class VectorUnionPairIndex(UnionPairIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
+        clone._reset_tables()
         clone._overlaps = LazyOverlaps(clone.structure.layout)
         clone._overlaps.cache.update(
             transfer_cell_cache(
@@ -632,6 +774,11 @@ class VectorUnionPairIndex(UnionPairIndex):
         self._check_params(tau)
         if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
             raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
+        return self._tabled(
+            int(kappa), tau, lambda t: self._table(t, int(kappa))
+        )
+
+    def _table(self, tau: float, kappa: int) -> ThresholdTable:
         st = self.structure
         lay = st.layout
         metric = self.tps.metric
@@ -639,10 +786,15 @@ class VectorUnionPairIndex(UnionPairIndex):
         link_thr = _link_threshold(res)
         target = self.GREEDY_FACTOR * tau
         out: List[PairRecord] = []
+        p_ids: List[int] = []
+        q_ids: List[int] = []
+        run_mins: List[float] = []
+        empty = np.empty(0, dtype=np.int64)
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        cai, cci = (
+            _candidate_pairs(lay, metric, eligible, 1.0, res)
+            if len(eligible) else (empty, empty)
+        )
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -664,29 +816,39 @@ class VectorUnionPairIndex(UnionPairIndex):
                     continue
                 p = int(pp[run_start[g]])
                 sp = float(lay.starts[p])
+                run_min = np.inf
                 for i in range(run_start[g], run_start[g] + run_m[g]):
+                    q = int(qq[i])
                     covered = self.greedy_union(
-                        sp, float(his[i]), witnesses, kappa,
-                        exclude=(p, int(qq[i])),
+                        sp, float(his[i]), witnesses, kappa, exclude=(p, q)
                     )
                     if covered >= target:
-                        out.append(PairRecord(p=p, q=int(qq[i]), score=covered))
+                        out.append(PairRecord(p=p, q=q, score=covered))
+                        run_min = min(run_min, covered)
+                        p_ids.append(p)
+                        q_ids.append(q)
+                        run_mins.append(run_min)
                     else:
                         break
-        return out
+        return ThresholdTable(
+            tau, out, lay, np.asarray(p_ids, dtype=np.int64),
+            lay.ends[np.asarray(q_ids, dtype=np.int64)],
+            np.asarray(run_mins, dtype=np.float64), self.GREEDY_FACTOR,
+        )
 
 
 # ----------------------------------------------------------------------
 # Patterns
 # ----------------------------------------------------------------------
-class VectorPatternIndex(PatternIndex):
+class VectorPatternIndex(_ThresholdTables, PatternIndex):
     """Appendix D reporters over the array-backed ball structure.
 
     The enumeration recursions are inherited (they are output-bound);
     the win is the build — no per-ball dominance trees — plus batched
     anchor contexts: one ``durableBallQ`` sweep per ``(τ, radius)``
-    serves every anchor, and the link table is one small distance
-    matrix instead of O(k²) scalar ``linked()`` calls.
+    serves every anchor of a call, and the link table is one small
+    distance matrix instead of O(k²) scalar ``linked()`` calls.  Each
+    ``(shape, m)`` keeps a threshold table like the other families.
     """
 
     def __init__(
@@ -696,7 +858,7 @@ class VectorPatternIndex(PatternIndex):
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._contexts: Dict[Tuple[float, float], Dict[int, tuple]] = {}
+        self._reset_tables()
 
     def maintained(self, tps: TemporalPointSet) -> "VectorPatternIndex":
         clone = object.__new__(type(self))
@@ -704,15 +866,50 @@ class VectorPatternIndex(PatternIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
-        clone._contexts = {}
+        clone._reset_tables()
         return clone
 
     # ------------------------------------------------------------------
+    def iter_cliques(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        return self._iter_shape("clique", m, tau)
+
+    def iter_paths(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        return self._iter_shape("path", m, tau)
+
+    def iter_stars(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        return self._iter_shape("star", m, tau)
+
+    def _iter_shape(self, shape: str, m: int, tau: float) -> Iterator[PatternRecord]:
+        self._check(m, tau)
+        return iter(
+            self._tabled((shape, m), tau, lambda t: self._table(shape, m, t))
+        )
+
+    def _table(self, shape: str, m: int, tau: float) -> ThresholdTable:
+        per_anchor = getattr(self, f"_{shape}s_for_anchor")
+        context = self._context_lookup(tau, self._search_radius(shape, m))
+        out: List[PatternRecord] = []
+        anchors: List[int] = []
+        for p in self._eligible_anchors(tau):
+            n0 = len(out)
+            out.extend(per_anchor(p, m, context))
+            anchors.extend([p] * (len(out) - n0))
+        lay = self.structure.layout
+        anchor_arr = np.asarray(anchors, dtype=np.int64)
+        members = np.asarray(
+            [r.members for r in out], dtype=np.int64
+        ).reshape(len(out), m)
+        # Every member but the anchor is a durableBallQ partner.
+        partner_ends = np.where(
+            members == anchor_arr[:, None], np.inf, lay.ends[members]
+        )
+        return ThresholdTable(
+            tau, out, lay, anchor_arr, partner_ends.min(axis=1)
+        )
+
     def _context_map(self, tau: float, radius: float) -> Dict[int, tuple]:
-        ctx = self._contexts.get((tau, radius))
-        if ctx is not None:
-            return ctx
-        ctx = {}
+        """Every eligible anchor's partner cells, counts and ids at once."""
+        ctx: Dict[int, tuple] = {}
         st = self.structure
         lay = st.layout
         eligible = _eligible_anchor_array(lay, tau)
@@ -735,24 +932,30 @@ class VectorPatternIndex(PatternIndex):
                     q0 = run_start[g0]
                     q1 = run_start[g1 - 1] + run_m[g1 - 1]
                     ctx[p] = (ci[run_src[g0:g1]], run_m[g0:g1], qq[q0:q1])
-        self._contexts[(tau, radius)] = ctx
         return ctx
 
-    def _anchor_context(self, anchor, tau, radius):
-        entry = self._context_map(float(tau), float(radius)).get(int(anchor))
-        groups_all = self.structure.groups
-        own = groups_all[self.structure.group_index_of(anchor)]
-        if entry is None:
-            return [], {int(anchor): 0}, [own]
-        cells, counts, qids = entry
-        groups = [groups_all[int(c)] for c in cells]
-        candidates = qids.tolist()
-        ball_of = dict(
-            zip(candidates, np.repeat(np.arange(len(cells)), counts).tolist())
-        )
-        ball_of[int(anchor)] = len(groups)
-        groups.append(own)
-        return candidates, ball_of, groups
+    def _context_lookup(self, tau: float, radius: float):
+        # One batched sweep for the whole call, held only by the closure.
+        contexts = self._context_map(float(tau), float(radius))
+        structure = self.structure
+        groups_all = structure.groups
+
+        def lookup(anchor):
+            own = groups_all[structure.group_index_of(anchor)]
+            entry = contexts.get(int(anchor))
+            if entry is None:
+                return [], {int(anchor): 0}, [own]
+            cells, counts, qids = entry
+            groups = [groups_all[int(c)] for c in cells]
+            candidates = qids.tolist()
+            ball_of = dict(
+                zip(candidates, np.repeat(np.arange(len(cells)), counts).tolist())
+            )
+            ball_of[int(anchor)] = len(groups)
+            groups.append(own)
+            return candidates, ball_of, groups
+
+        return lookup
 
     def _link_table(self, groups):
         # All groups are grid cells: one small distance matrix replaces

@@ -22,7 +22,7 @@ guarantee: every exact τ-durable pattern is reported, every report is a
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,6 +85,17 @@ class PatternIndex:
         groups.append(own)
         return candidates, ball_of, groups
 
+    def _context_lookup(
+        self, tau: float, radius: float
+    ) -> Callable[[int], Tuple[List[int], Dict[int, int], List[object]]]:
+        """``anchor -> _anchor_context(anchor, tau, radius)`` for one sweep.
+
+        A reporter asks for this once per ``(τ, radius)`` call and keeps
+        it only while it runs, so subclasses that batch the ball queries
+        of every anchor hold no state between calls.
+        """
+        return lambda anchor: self._anchor_context(anchor, tau, radius)
+
     def _link_table(self, groups: Sequence[object]) -> List[List[bool]]:
         k = len(groups)
         table = [[False] * k for _ in range(k)]
@@ -104,6 +115,11 @@ class PatternIndex:
             yield int(p)
 
     @staticmethod
+    def _search_radius(shape: str, m: int) -> float:
+        """The anchor's ball radius per shape (see the module docstring)."""
+        return {"clique": 1.0, "path": float(m - 1), "star": 2.0}[shape]
+
+    @staticmethod
     def _check(m: int, tau: float) -> None:
         if m < 2:
             raise ValidationError(f"pattern size must be at least 2, got {m!r}")
@@ -116,11 +132,14 @@ class PatternIndex:
     def iter_cliques(self, m: int, tau: float) -> Iterator[PatternRecord]:
         """τ-durable ``m``-cliques (plus some ε-cliques), each once."""
         self._check(m, tau)
+        context = self._context_lookup(tau, self._search_radius("clique", m))
         for p in self._eligible_anchors(tau):
-            yield from self._cliques_for_anchor(p, m, tau)
+            yield from self._cliques_for_anchor(p, m, context)
 
-    def _cliques_for_anchor(self, p: int, m: int, tau: float) -> Iterator[PatternRecord]:
-        candidates, ball_of, groups = self._anchor_context(p, tau, radius=1.0)
+    def _cliques_for_anchor(
+        self, p: int, m: int, context: Callable
+    ) -> Iterator[PatternRecord]:
+        candidates, ball_of, groups = context(p)
         if len(candidates) < m - 1:
             return
         link = self._link_table(groups)
@@ -152,14 +171,13 @@ class PatternIndex:
             counts: Dict[int, int] = {}
             for b in multiset:
                 counts[b] = counts.get(b, 0) + 1
-            yield from self._expand_products(p, counts, by_ball, tau)
+            yield from self._expand_products(p, counts, by_ball)
 
     def _expand_products(
         self,
         p: int,
         counts: Dict[int, int],
         by_ball: Dict[int, List[int]],
-        tau: float,
     ) -> Iterator[PatternRecord]:
         balls = sorted(counts)
         choices: List[List[Tuple[int, ...]]] = [
@@ -188,12 +206,14 @@ class PatternIndex:
         endpoint has the smaller id.
         """
         self._check(m, tau)
+        context = self._context_lookup(tau, self._search_radius("path", m))
         for p in self._eligible_anchors(tau):
-            yield from self._paths_for_anchor(p, m, tau)
+            yield from self._paths_for_anchor(p, m, context)
 
-    def _paths_for_anchor(self, p: int, m: int, tau: float) -> Iterator[PatternRecord]:
-        radius = float(m - 1)
-        candidates, ball_of, groups = self._anchor_context(p, tau, radius=radius)
+    def _paths_for_anchor(
+        self, p: int, m: int, context: Callable
+    ) -> Iterator[PatternRecord]:
+        candidates, ball_of, groups = context(p)
         nodes = candidates + [p]
         if len(nodes) < m:
             return
@@ -237,8 +257,9 @@ class PatternIndex:
         radius 2 as in Appendix D.2.
         """
         self._check(m, tau)
+        context = self._context_lookup(tau, self._search_radius("star", m))
         for p in self._eligible_anchors(tau):
-            yield from self._stars_for_anchor(p, m, tau)
+            yield from self._stars_for_anchor(p, m, context)
 
     def star_summaries(self, m: int, tau: float) -> List[Tuple[int, List[int]]]:
         """Compact star reporting: ``(center, leaf candidates)`` pairs.
@@ -249,16 +270,17 @@ class PatternIndex:
         """
         self._check(m, tau)
         out: List[Tuple[int, List[int]]] = []
+        context = self._context_lookup(tau, self._search_radius("star", m))
         for p in self._eligible_anchors(tau):
-            for center, leaves, need in self._star_contexts(p, m, tau):
+            for center, leaves, need in self._star_contexts(p, m, context):
                 if len(leaves) >= need:
                     out.append((center, sorted(leaves)))
         return out
 
     def _star_contexts(
-        self, p: int, m: int, tau: float
+        self, p: int, m: int, context: Callable
     ) -> Iterator[Tuple[int, List[int], int]]:
-        candidates, ball_of, groups = self._anchor_context(p, tau, radius=2.0)
+        candidates, ball_of, groups = context(p)
         nodes = candidates + [p]
         if len(nodes) < m:
             return
@@ -272,8 +294,10 @@ class PatternIndex:
                 yield center, leaves, m - 1
         return
 
-    def _stars_for_anchor(self, p: int, m: int, tau: float) -> Iterator[PatternRecord]:
-        for center, leaves, need in self._star_contexts(p, m, tau):
+    def _stars_for_anchor(
+        self, p: int, m: int, context: Callable
+    ) -> Iterator[PatternRecord]:
+        for center, leaves, need in self._star_contexts(p, m, context):
             if center == p:
                 pool = sorted(leaves)
                 for combo in combinations(pool, m - 1):

@@ -3,11 +3,21 @@
 Plans run on a :class:`~concurrent.futures.ThreadPoolExecutor`; index
 builds are de-duplicated by the cache's single-flight discipline, so a
 batch whose queries share one index performs one build no matter how
-many workers race for it.  Query paths in this library are read-only
-(the indexes memoise nothing after construction), so concurrent queries
-against one shared index are safe and the result of a batch is
-deterministic: results come back in submission order, and each query's
-records are exactly what a sequential run would produce.
+many workers race for it.
+
+Concurrent queries against one shared index are safe, although indexes
+do memoise after construction.  The ``vector`` indexes keep two kinds of
+state, and neither can change an answer:
+
+* per-cell structures built on first use (``LazyProfiles``,
+  ``LazyOverlaps``) — τ-independent and deterministic, so two threads
+  racing to build one store equal values;
+* threshold tables — immutable snapshots, installed under a per-index
+  lock, each answering exactly for every τ at or above its own.
+
+So the result of a batch is deterministic: results come back in
+submission order, and each query's records are exactly what a
+sequential run on a fresh index would produce.
 
 A query whose builder or runner raises does not destroy the rest of the
 batch: with ``raise_on_error=False`` the failure is captured into its

@@ -13,10 +13,13 @@ store:
 
 Kept traces live in a ring buffer (``capacity`` newest traces; older
 ones are evicted FIFO), so memory is bounded no matter the traffic
-rate.  Slow queries additionally emit one NDJSON record to the
-configured stream (stderr by default) with the trace id, dataset,
-tenant, template and a per-span-name stage breakdown — greppable
-without any endpoint.
+rate.  Each kept trace stores its spans as one compact JSON ``bytes``
+blob plus a span count — a few KB per trace instead of a tree of
+dicts; :meth:`TraceStore.get` decodes the blob on demand.
+
+Slow queries additionally emit one NDJSON record to the configured
+stream (stderr by default) with the trace id, dataset, tenant, template
+and a per-span-name stage breakdown — greppable without any endpoint.
 
 The store is also the source for ``GET /debug/traces`` (recent
 summaries, filterable) and ``GET /debug/traces/<id>`` (full span set).
@@ -96,18 +99,24 @@ class TraceStore:
             "status": "error" if is_error else "ok",
             "duration_ms": round(duration_ms, 3),
             "slow": is_slow,
-            "spans": spans,
+            "spans": len(spans),
             "recorded": time.time(),
             **{k: v for k, v in attrs.items() if v is not None},
         }
         if is_slow and attrs.get("dataset") is not None:
-            self._emit_slow(record)
+            self._emit_slow(record, spans)
         with self._lock:
             self.offered_total += 1
             keep = is_error or is_slow or self._sampled_in()
             if not keep:
                 self.sampled_out_total += 1
                 return False
+        # ``default=str``: an attribute JSON cannot encode is kept as its
+        # text rather than failing the request that offered the trace.
+        record["span_blob"] = json.dumps(
+            spans, separators=(",", ":"), default=str
+        ).encode()
+        with self._lock:
             self._traces[recorder.trace_id] = record
             self._traces.move_to_end(recorder.trace_id)
             self.stored_total += 1
@@ -123,10 +132,11 @@ class TraceStore:
             return False
         return random.random() < self.sample
 
-    def _emit_slow(self, record: Dict[str, Any]) -> None:
+    def _emit_slow(self, record: Dict[str, Any],
+                   spans: List[Dict[str, Any]]) -> None:
         """One NDJSON line per slow query: correlatable and greppable."""
         breakdown: Dict[str, float] = {}
-        for span in record["spans"]:
+        for span in spans:
             name = span["name"]
             breakdown[name] = round(
                 breakdown.get(name, 0.0) + span["duration_ms"], 3
@@ -156,11 +166,11 @@ class TraceStore:
         """Full trace document for one id, or ``None``."""
         with self._lock:
             record = self._traces.get(trace_id)
-            if record is None:
-                return None
-            doc = dict(record)
-            doc["spans"] = list(record["spans"])
-            return doc
+        if record is None:
+            return None
+        doc = {k: v for k, v in record.items() if k != "span_blob"}
+        doc["spans"] = json.loads(record["span_blob"])
+        return doc
 
     def recent(self, limit: int = 50, min_duration_ms: Optional[float] = None,
                dataset: Optional[str] = None,
@@ -176,8 +186,7 @@ class TraceStore:
                 continue
             if route is not None and record.get("route") != route:
                 continue
-            out.append({k: v for k, v in record.items() if k != "spans"}
-                       | {"spans": len(record["spans"])})
+            out.append({k: v for k, v in record.items() if k != "span_blob"})
             if len(out) >= limit:
                 break
         return out

@@ -649,6 +649,287 @@ class TestCostModel:
 
 
 # ----------------------------------------------------------------------
+# Threshold tables: warm τ-sweeps answered from the lowest τ served
+# ----------------------------------------------------------------------
+def _table_calls():
+    """(name, vector class, call) for every family and parameter the
+    tables key on: κ for UNION pairs, (shape, m) for patterns."""
+    calls = [
+        ("triangles", VectorTriangleIndex, lambda ix, t: ix.query(t)),
+        ("pairs-sum", VectorSumPairIndex, lambda ix, t: ix.query(t)),
+    ]
+    for k in (1, 2, PARITY_KAPPA):
+        calls.append(
+            (f"pairs-union/{k}", VectorUnionPairIndex,
+             lambda ix, t, k=k: ix.query(t, k))
+        )
+    for shape in ("cliques", "paths", "stars"):
+        for m in (3, 4):
+            calls.append(
+                (f"{shape}/{m}", VectorPatternIndex,
+                 lambda ix, t, s=shape, m=m: list(getattr(ix, f"iter_{s}")(m, t)))
+            )
+    return calls
+
+
+TABLE_CALLS = _table_calls()
+TABLE_TAUS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0]
+
+
+class _FreshAnswers:
+    """Answers of a new index per question: no table is ever consulted."""
+
+    def __init__(self, tps):
+        self.tps = tps
+        self.memo = {}
+
+    def __call__(self, call_index, tau):
+        key = (call_index, tau)
+        if key not in self.memo:
+            _, cls, call = TABLE_CALLS[call_index]
+            self.memo[key] = call(cls(self.tps, PARITY_EPS), tau)
+        return self.memo[key]
+
+
+class TestThresholdTables:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tps=lattice_tps(),
+        ladder=st.lists(st.sampled_from(TABLE_TAUS), min_size=1, max_size=5),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, len(TABLE_CALLS) - 1), st.sampled_from(TABLE_TAUS)
+            ),
+            max_size=25,
+        ),
+    )
+    def test_any_tau_order_matches_a_fresh_index(self, tps, ladder, steps):
+        # Per family: the ladder up, down and repeated, then random
+        # (family, τ) steps interleaving κ and m on the same indexes.
+        shared = {cls: cls(tps, PARITY_EPS) for _, cls, _ in TABLE_CALLS}
+        fresh = _FreshAnswers(tps)
+        up = sorted(ladder)
+        order = [
+            (c, t)
+            for c in range(len(TABLE_CALLS))
+            for t in up + up[::-1] + up
+        ] + list(steps)
+        for c, tau in order:
+            name, cls, call = TABLE_CALLS[c]
+            assert call(shared[cls], tau) == fresh(c, tau), (name, tau)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=9),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_run_minimum_equals_the_scalar_scan(self, runs):
+        from repro.backends.vector.indexes import _run_minimum
+
+        run_m = np.array([len(r) for r in runs])
+        run_start = np.concatenate(([0], np.cumsum(run_m)[:-1]))
+        values = np.array([v for r in runs for v in r])
+        expected = []
+        for r in runs:
+            low = np.inf
+            for v in r:
+                low = min(low, v)
+                expected.append(low)
+        assert _run_minimum(values, run_start, run_m).tolist() == expected
+
+    def test_floor_only_moves_down_and_hits_skip_the_kernel(self, monkeypatch):
+        idx = VectorSumPairIndex(random_tps(n=50, seed=4), 0.5)
+        idx.query(2.0)
+        assert idx._tables[None].tau == 2.0
+
+        def no_kernel(tau):
+            raise AssertionError("a table hit must not run the kernel")
+
+        monkeypatch.setattr(idx, "_table", no_kernel)
+        idx.query(3.0)
+        idx.query(2.0)
+        monkeypatch.undo()
+        assert idx._tables[None].tau == 2.0
+        idx.query(1.0)
+        assert idx._tables[None].tau == 1.0
+
+    def test_parameter_slots_are_a_bounded_lru(self):
+        from repro.backends.vector import indexes
+
+        tps = random_tps(n=40, seed=2)
+        pats = VectorPatternIndex(tps, 0.5)
+        for m in (3, 4, 5, 3):
+            list(pats.iter_cliques(m, 2.0))
+        assert len(pats._tables) == indexes.TABLE_SLOTS == 2
+        assert list(pats._tables) == [("clique", 5), ("clique", 3)]
+        union = VectorUnionPairIndex(tps, 0.5)
+        for kappa in range(1, 12):
+            union.query(2.0, kappa)
+        assert list(union._tables) == [10, 11]
+
+    def test_answers_over_the_record_cap_are_not_retained(self, monkeypatch):
+        from repro.backends.vector import indexes
+
+        tps = random_tps(n=50, seed=1)
+        expected = VectorTriangleIndex(tps, 0.5).query(1.0)
+        assert len(expected) > 3
+        monkeypatch.setattr(indexes, "TABLE_MAX_RECORDS", len(expected) - 1)
+        idx = VectorTriangleIndex(tps, 0.5)
+        assert idx.query(1.0) == expected
+        assert not idx._tables
+        # A smaller answer is retained, and a later larger one (τ below
+        # the floor) does not displace it.
+        small = idx.query(4.0)
+        assert len(small) <= len(expected) - 1
+        assert idx._tables[None].tau == 4.0
+        assert idx.query(1.0) == expected
+        assert idx._tables[None].tau == 4.0
+
+    def test_fifty_distinct_taus_leave_bounded_state(self):
+        idx = VectorPatternIndex(random_tps(n=40, seed=3), 0.5)
+        attrs = set(vars(idx))
+        for i, tau in enumerate(np.linspace(6.0, 0.5, 50)):
+            shape = ("cliques", "paths", "stars")[i % 3]
+            list(getattr(idx, f"iter_{shape}")(3, float(tau)))
+        assert set(vars(idx)) == attrs
+        assert not hasattr(idx, "_contexts")
+        assert len(idx._tables) <= 2
+
+    def test_concurrent_shuffled_ladders_match_sequential_fresh(self):
+        import random
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        tps = random_tps(n=45, seed=9, metric="l1")
+        shared = {cls: cls(tps, 0.5) for _, cls, _ in TABLE_CALLS}
+        work = [(c, t) for c in range(len(TABLE_CALLS)) for t in TABLE_TAUS]
+        expected = {
+            (c, t): TABLE_CALLS[c][2](TABLE_CALLS[c][1](tps, 0.5), t)
+            for c, t in work
+        }
+        barrier = threading.Barrier(4, timeout=60)
+
+        def ladder(seed):
+            mine = list(work)
+            random.Random(seed).shuffle(mine)
+            barrier.wait()
+            return [
+                ((c, t), TABLE_CALLS[c][2](shared[TABLE_CALLS[c][1]], t))
+                for c, t in mine
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(ladder, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for answers in results:
+            for key, got in answers:
+                assert got == expected[key], key
+        # A lost install would leave a single-parameter index's floor
+        # above the lowest τ every thread asked for.
+        for cls in (VectorTriangleIndex, VectorSumPairIndex):
+            assert shared[cls]._tables[None].tau == min(TABLE_TAUS)
+
+    def test_advance_maintains_to_answers_of_a_fresh_merged_build(self):
+        from repro.engine import IndexCache
+
+        full = random_tps(n=60, seed=12)
+        base = full.subset(np.arange(45))
+        merged = base.with_events(full.points[45:], full.starts[45:], full.ends[45:])
+        specs = [
+            QuerySpec(kind="triangles", taus=[1.0, 3.0], backend="vector"),
+            QuerySpec(kind="pairs-sum", taus=[1.0, 3.0], backend="vector"),
+            QuerySpec(kind="pairs-union", taus=[1.0, 3.0], kappa=2, backend="vector"),
+            QuerySpec(kind="cliques", taus=[1.0, 3.0], m=3, backend="vector"),
+            QuerySpec(kind="stars", taus=[1.0, 3.0], m=3, backend="vector"),
+        ]
+        cache = IndexCache()
+        for spec in specs:
+            plan = plan_query(0, spec, base)
+            index = cache.get_or_build(plan.key, plan.builder).index
+            for tau in spec.taus:
+                plan.runner(index, tau)
+        moved = cache.advance(
+            base.fingerprint(), merged.fingerprint(),
+            lambda key, index: index.maintained(merged),
+        )
+        assert not moved["invalidated"]
+        for spec in specs:
+            plan = plan_query(0, spec, merged)
+            outcome = cache.get_or_build(plan.key, plan.builder)
+            assert outcome.hit
+            fresh = plan.builder()
+            for tau in (3.0, 2.0, 1.0, 0.5):
+                assert plan.runner(outcome.index, tau) == plan.runner(
+                    fresh, tau
+                ), (spec.kind, tau)
+
+    def test_wire_ladders_ascending_then_descending_agree(self):
+        import http.client
+
+        from repro.serve import start_server_thread
+
+        handle = start_server_thread(port=0)
+
+        def post(path, body):
+            conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
+            try:
+                conn.request("POST", path, body=json.dumps(body),
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            finally:
+                conn.close()
+
+        def records(dataset, taus):
+            queries = [
+                {"kind": "triangles", "taus": taus},
+                {"kind": "pairs-sum", "taus": taus},
+                {"kind": "pairs-union", "kappa": 2, "taus": taus},
+                {"kind": "cliques", "m": 3, "taus": taus},
+                {"kind": "paths", "m": 3, "taus": taus},
+                {"kind": "pattern-dsl", "taus": taus,
+                 "pattern": "all(clique(m=3), pairs(agg=union, kappa=2))"},
+            ]
+            status, data = post("/query", {
+                "dataset": dataset, "queries": queries, "include_records": True,
+            })
+            assert status == 200
+            lines = [json.loads(x) for x in data.decode().splitlines() if x]
+            assert all(x.get("ok", True) for x in lines if x["type"] == "result")
+            return {
+                (x["query"], x["tau"]): x["records"]
+                for x in lines if x["type"] == "records"
+            }
+
+        try:
+            for name in ("a", "b"):
+                status, _ = post("/datasets", {
+                    "name": name,
+                    "dataset": {"workload": "uniform", "n": 80, "seed": 5,
+                                "metric": "l2"},
+                })
+                assert status == 201
+            taus = [1.0, 2.0, 4.0, 8.0]
+            # On "a" the ascending batch fills the tables at τ = 1 and the
+            # descending one is served from them; on "b" a descending
+            # batch lowers the floor at every τ, so each is a kernel run.
+            ascending = records("a", taus)
+            descending = records("a", taus[::-1])
+            kernels = records("b", taus[::-1])
+            assert ascending == descending == kernels
+            assert sum(len(r) for r in ascending.values()) > 0
+        finally:
+            handle.stop()
+
+
+# ----------------------------------------------------------------------
 # Serving integration: per-dataset default backend + /stats counters
 # ----------------------------------------------------------------------
 class TestServeIntegration:

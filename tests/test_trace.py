@@ -179,6 +179,33 @@ class TestTraceStore:
         assert "serve.request" in entry["breakdown_ms"]
         assert store.stats()["slow_queries"] == 1
 
+    def test_compact_retention_round_trips_the_span_documents(self):
+        store = TraceStore(capacity=4, sample=1.0, slow_ms=1e9)
+        rec = TraceRecorder()
+        root = rec.start_span("serve.request", attrs={"route": "/query"})
+        child = rec.start_span("engine.query", parent_id=root.span_id,
+                               attrs={"query": 3, "kind": "triangles"})
+        child.set_attr("ratio", 0.1 + 0.2)
+        child.set_attr("hit", True)
+        child.set_attr("stage", None)
+        child.finish()
+        rec.start_span("cache.get", parent_id=root.span_id).finish(status="error")
+        root.finish()
+        store.offer(rec, route="/query", duration_ms=12.5,
+                    attrs={"dataset": "forum", "tenant": None})
+        spans = [s.to_dict() for s in rec.spans()]
+        doc = store.get(rec.trace_id)
+        assert doc["spans"] == spans
+        assert {k: v for k, v in doc.items() if k not in ("spans", "recorded")} == {
+            "trace_id": rec.trace_id, "route": "/query", "status": "error",
+            "duration_ms": 12.5, "slow": False, "dataset": "forum",
+        }
+        (summary,) = store.recent()
+        assert summary["spans"] == len(spans) == 3
+        assert {k: v for k, v in summary.items() if k != "spans"} == {
+            k: v for k, v in doc.items() if k != "spans"
+        }
+
     def test_filters_on_recent(self):
         store = TraceStore(capacity=16, sample=1.0, slow_ms=1e9)
         _offer(store, duration_ms=5.0, attrs={"dataset": "a"})
