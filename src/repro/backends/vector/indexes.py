@@ -41,9 +41,11 @@ run over the same grid cells (``SumPairIndex(tps, ε, backend="vector")``
 and friends) for every family, which the three-way hypothesis parity
 harness in ``tests/test_backends.py`` asserts.
 
-All four implement ``maintained()`` — the layout recompute over the
-merged set is vectorised and produces the canonical cell order a fresh
-build yields, so maintained indexes are *identical* to fresh ones;
+All four implement ``maintained()``, the only epoch-maintenance path:
+every other backend's cache entries are dropped on append and rebuilt
+once on next use.  The layout recompute over the merged set is
+vectorised and produces the canonical cell order a fresh build yields,
+so maintained indexes are *identical* to fresh ones;
 per-cell derived structures (profiles, overlap indexes) are carried
 over for cells the append did not touch (:func:`transfer_cell_cache`),
 and threshold tables are not carried at all: a maintained clone starts

@@ -22,8 +22,8 @@ batched kernels over that layout:
   :class:`~repro.quadtree.tree.GridDecomposition` whose construction is
   vectorised from the layout arrays; groups, centers and ``group_of``
   are value-identical to a fresh legacy build (asserted in tests), so
-  all inherited geometry (``candidate_groups``, ``extended``) applies
-  unchanged.
+  the inherited geometry (``candidate_groups``, ``linked_groups``)
+  applies unchanged.
 * blocked distance kernels (:func:`pairwise_dists`,
   :func:`rowwise_dists`) reproducing the exact per-metric arithmetic of
   :mod:`repro.geometry.metrics`.
@@ -241,9 +241,9 @@ class VectorGridDecomposition(GridDecomposition):
     Groups, centers and ``group_of`` are value-identical to the legacy
     constructor's (cells in lexicographic order, members ascending,
     ``(key + 0.5) · side`` centers), so the inherited
-    ``candidate_groups`` / ``linked_groups`` / ``extended`` behave
-    identically — ``extended`` clones preserve this class via
-    ``object.__new__(type(self))``.
+    ``candidate_groups`` / ``linked_groups`` behave identically.
+    Appends build a new decomposition over the merged layout
+    (:meth:`~repro.backends.vector.structure.VectorBallStructure.extended`).
     """
 
     def __init__(self, points, metric, resolution, _layout: Optional[SoALayout] = None):

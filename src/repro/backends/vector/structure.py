@@ -87,7 +87,8 @@ class VectorBallStructure:
 
     Mirrors the :class:`DurableBallStructure` surface the solvers use
     (``tps`` / ``resolution`` / ``decomposition`` / ``groups`` /
-    ``group_index_of`` / ``query`` / ``linked`` / ``extended``).  The
+    ``group_index_of`` / ``query`` / ``linked``), plus ``extended`` for
+    the epoch maintenance of the vector indexes.  The
     canonical-group objects are materialised lazily — the batched query
     kernels of :mod:`.indexes` never touch them, so a pure
     triangles/pairs build pays only for the arrays.

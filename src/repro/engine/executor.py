@@ -87,11 +87,11 @@ def _execute_one(
     alongside the error result so ``raise_on_error=True`` callers can
     re-raise the original, not a stringified stand-in.
 
-    Stage-less plans (the legacy kinds) fetch/build ``plan.key`` and
-    call ``runner(index, tau)``.  Staged plans (``pattern-dsl``)
-    acquire every :class:`~repro.engine.planner.PlanStage` through the
-    same single-flight cache — per-stage build timing lands on the
-    result's ``stages`` — and call ``runner({name: index}, tau)``.
+    Every index of :meth:`~repro.engine.planner.QueryPlan.acquisitions`
+    comes through the same single-flight cache.  Stage-less plans (the
+    legacy kinds) then call ``runner(index, tau)``; staged plans
+    (``pattern-dsl``) call ``runner({name: index}, tau)`` and carry
+    per-stage build timing on the result's ``stages``.
 
     ``trace`` (an :class:`~repro.obs.trace.ExecTrace`) is passed
     explicitly because this runs on a thread pool where ambient
@@ -117,45 +117,42 @@ def _execute_one(
                 "query": trace.index,
                 "kind": plan.spec.kind,
                 "backend": plan.key.backend,
-                **({"template": plan.template} if plan.template else {}),
+                "template": plan.spec.kind,
             },
         )
     parent_id = query_span.span_id if query_span is not None else None
     try:
+        acquired = [
+            (
+                stage,
+                _traced_get(
+                    cache, stage.key, stage.builder, trace, parent_id,
+                    stage=stage.name or None,
+                ),
+            )
+            for stage in plan.acquisitions()
+        ]
+        cache_hit = all(outcome.hit for _, outcome in acquired)
+        # Each outcome carries its flight's own build time, so this
+        # stays correct even if the entry was LRU-evicted by a later
+        # build before we got here.
+        builds = [0.0 if o.hit else o.build_seconds for _, o in acquired]
+        build_seconds = sum(builds)
         stage_timings: Tuple[Any, ...] = ()
         if plan.stages:
-            indexes = {}
-            cache_hit = True
-            build_seconds = 0.0
-            timings = []
-            for stage in plan.stages:
-                outcome = _traced_get(
-                    cache, stage.key, stage.builder, trace, parent_id,
-                    stage=stage.name,
-                )
-                indexes[stage.name] = outcome.index
-                stage_build = 0.0 if outcome.hit else outcome.build_seconds
-                build_seconds += stage_build
-                cache_hit = cache_hit and outcome.hit
-                timings.append(
-                    {
-                        "stage": stage.name,
-                        "family": stage.key.family,
-                        "backend": stage.key.backend,
-                        "cache_hit": outcome.hit,
-                        "build_seconds": stage_build,
-                    }
-                )
-            stage_timings = tuple(timings)
-            target: Any = indexes
+            target: Any = {stage.name: o.index for stage, o in acquired}
+            stage_timings = tuple(
+                {
+                    "stage": stage.name,
+                    "family": stage.key.family,
+                    "backend": stage.key.backend,
+                    "cache_hit": o.hit,
+                    "build_seconds": built,
+                }
+                for (stage, o), built in zip(acquired, builds)
+            )
         else:
-            outcome = _traced_get(cache, plan.key, plan.builder, trace, parent_id)
-            cache_hit = outcome.hit
-            # The outcome carries its flight's own build time, so this
-            # stays correct even if the entry was LRU-evicted by a later
-            # build before we got here.
-            build_seconds = 0.0 if outcome.hit else outcome.build_seconds
-            target = outcome.index
+            target = acquired[0][1].index
         records_by_tau: "OrderedDict[float, List[Any]]" = OrderedDict()
         if trace is not None:
             # Staged plans evaluate the composed DSL combinator tree over

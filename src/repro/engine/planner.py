@@ -24,7 +24,11 @@ A plan comes in two shapes, told apart by ``stages``:
   :class:`PlanStage` names one shared index; the executor acquires all
   of them through the same single-flight cache — so a composite plan's
   sub-indexes are shared with any legacy query that uses them — and
-  calls ``runner({stage_name: index, …}, tau)``.
+  calls ``runner({stage_name: index, …}, tau)``.  Each DSL leaf is
+  planned by :func:`plan_query` as its legacy kind, so a stage's key,
+  builder and per-τ call are the legacy plan's own.
+
+:meth:`QueryPlan.acquisitions` lists what either shape acquires.
 """
 
 from __future__ import annotations
@@ -73,8 +77,16 @@ class QueryPlan:
     key: IndexKey
     builder: Callable[[], Any]
     runner: Callable[[Any, float], list]
-    template: str = field(default="")
     stages: Tuple[PlanStage, ...] = field(default=())
+
+    def acquisitions(self) -> Tuple[PlanStage, ...]:
+        """The shared indexes to acquire: the stages, or the plan's own.
+
+        A stage-less plan acquires ``key``/``builder`` as one unnamed
+        stage; the composite key of a staged plan is a reporting
+        identity, never a build.
+        """
+        return self.stages or (PlanStage("", self.key, self.builder),)
 
 
 def runner_for(spec: QuerySpec) -> Callable[[Any, float], list]:
@@ -125,7 +137,6 @@ def plan_query(
         key=descriptor.index_identity(spec, tps.fingerprint()),
         builder=descriptor.make_builder(spec, tps),
         runner=runner_for(spec),
-        template=spec.kind,
     )
 
 
@@ -149,16 +160,7 @@ def plan_batch(
 
 
 def distinct_index_keys(plans: Sequence[QueryPlan]) -> Tuple[IndexKey, ...]:
-    """The distinct indexes a batch will build (in first-use order).
-
-    Staged plans contribute their stage keys — the composite plan key
-    of a ``pattern-dsl`` query is a reporting identity, not a build.
-    """
-    seen: dict = {}
-    for plan in plans:
-        if plan.stages:
-            for stage in plan.stages:
-                seen.setdefault(stage.key, None)
-        else:
-            seen.setdefault(plan.key, None)
-    return tuple(seen)
+    """The distinct indexes a batch will build (in first-use order)."""
+    return tuple(
+        dict.fromkeys(stage.key for plan in plans for stage in plan.acquisitions())
+    )

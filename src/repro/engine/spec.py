@@ -23,7 +23,7 @@ import numpy as np
 from ..backends.registry import default_registry
 from ..errors import ValidationError
 
-__all__ = ["KINDS", "QuerySpec", "apply_default_backend", "known_backends"]
+__all__ = ["KINDS", "QuerySpec", "apply_default_backend"]
 
 #: Integral types accepted for κ and m (numpy scalars included, as the
 #: core solvers always have).
@@ -57,24 +57,6 @@ DSL_KIND = "pattern-dsl"
 
 #: Every kind a spec accepts.
 _ACCEPTED_KINDS = KINDS + (DSL_KIND,)
-
-
-def known_backends() -> Tuple[str, ...]:
-    """``'auto'`` plus every backend registered right now.
-
-    Backend names are validated against the live
-    :func:`~repro.backends.registry.default_registry` — registering a
-    custom backend makes it spec-valid everywhere (api, batch CLI,
-    serve) with no further wiring.  The module attribute ``BACKENDS``
-    resolves to this tuple for backwards compatibility.
-    """
-    return ("auto", *default_registry().names())
-
-
-def __getattr__(name: str):  # pragma: no cover - thin compat shim
-    if name == "BACKENDS":
-        return known_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def apply_default_backend(
@@ -132,8 +114,7 @@ class QuerySpec:
         triangle solver).
     backend:
         Backend name — ``"auto"`` (registry cost-model dispatch) or any
-        name registered on the backend registry
-        (:func:`known_backends` lists the current set).
+        name registered on the backend registry.
     kappa:
         Witness budget κ — required for ``pairs-union``, rejected
         elsewhere.

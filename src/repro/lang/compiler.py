@@ -3,8 +3,10 @@
 A compiled pattern is an ordinary :class:`~repro.engine.planner.QueryPlan`
 whose ``stages`` name every distinct index the pattern needs — one
 :class:`~repro.engine.planner.PlanStage` per distinct
-:class:`~repro.engine.cache.IndexKey`, minted by the *same* backend
-descriptor hooks the legacy kinds use.  Two consequences fall out:
+:class:`~repro.engine.cache.IndexKey`.  Each primitive leaf is planned
+by :func:`~repro.engine.planner.plan_query` as its legacy kind: the
+leaf plan's key and builder become the stage, and its runner is the
+per-τ call the leaf evaluates with.  Two consequences fall out:
 
 * stage keys are bit-identical to the keys the equivalent legacy query
   would emit, so DSL and legacy queries share indexes through the
@@ -27,14 +29,15 @@ documented in ``docs/query_language.md``:
 
 Components of one match are pairwise *distinct* (by canonical record
 key), so ``seq(pairs, pairs)`` never degenerately matches a pair with
-itself.  A primitive *root* returns the legacy records untouched —
-the DSL spelling of a legacy kind is record-for-record identical to
-the native kind (property-tested in ``tests/test_query_language.py``).
+itself.  A primitive *root* returns the legacy runner's records
+untouched — the DSL spelling of a legacy kind is record-for-record,
+order-for-order identical to the native kind (property-tested in
+``tests/test_query_language.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ValidationError
 from ..temporal.interval import Interval, intersect_many
@@ -56,11 +59,8 @@ __all__ = ["compile_pattern", "MAX_COMBINATIONS"]
 #: not a workload the engine should grind through.
 MAX_COMBINATIONS = 1_000_000
 
-_SHAPE_ITERATORS = {
-    "clique": "iter_cliques",
-    "path": "iter_paths",
-    "star": "iter_stars",
-}
+#: A planned leaf: its stage name and the legacy kind's per-τ runner.
+_Leaf = Tuple[str, Callable[[Any, float], list]]
 
 
 def _leaf_spec(node: PatternNode, spec: Any) -> Any:
@@ -100,23 +100,15 @@ class _Match:
 
 
 def _primitive_matches(
-    node: PatternNode,
-    index: Any,
-    tau: float,
+    node: PatternNode, leaf: _Leaf, indexes: Mapping[str, Any], tau: float,
     tps: TemporalPointSet,
 ) -> List[_Match]:
-    if isinstance(node, TrianglesNode):
-        records = index.query(tau)
-        return [_Match(r, r.lifespan) for r in records]
-    if isinstance(node, ShapeNode):
-        iterate = getattr(index, _SHAPE_ITERATORS[node.shape])
-        return [_Match(r, r.lifespan) for r in iterate(node.m, tau)]
-    # PairsNode: PairRecord carries no lifespan; derive it from the pair.
-    if node.agg == "union":
-        records = index.query(tau, node.kappa)
-    else:
-        records = index.query(tau)
-    return [_Match(r, tps.pattern_lifespan((r.p, r.q))) for r in records]
+    name, runner = leaf
+    records = runner(indexes[name], tau)
+    if isinstance(node, PairsNode):
+        # PairRecord carries no lifespan; derive it from the pair.
+        return [_Match(r, tps.pattern_lifespan((r.p, r.q))) for r in records]
+    return [_Match(r, r.lifespan) for r in records]
 
 
 def _dur_filter(matches: List[_Match], dur: Optional[Tuple[float, float]]) -> List[_Match]:
@@ -186,7 +178,7 @@ def _combine_all(parts: List[List[_Match]]) -> List[Tuple[_Match, ...]]:
 
 def _evaluate(
     node: PatternNode,
-    stage_of: Dict[int, str],
+    leaves: Dict[int, _Leaf],
     indexes: Mapping[str, Any],
     tau: float,
     tps: TemporalPointSet,
@@ -194,7 +186,7 @@ def _evaluate(
     node_tau = node.tau if node.tau is not None else tau
     if isinstance(node, SeqNode):
         parts = [
-            _evaluate(p, stage_of, indexes, node_tau, tps) for p in node.parts
+            _evaluate(p, leaves, indexes, node_tau, tps) for p in node.parts
         ]
         out: List[_Match] = []
         for combo in _combine_seq(parts, node.gap):
@@ -213,7 +205,7 @@ def _evaluate(
         return _dur_filter(out, node.dur)
     if isinstance(node, AllNode):
         parts = [
-            _evaluate(p, stage_of, indexes, node_tau, tps) for p in node.parts
+            _evaluate(p, leaves, indexes, node_tau, tps) for p in node.parts
         ]
         out = []
         for combo in _combine_all(parts):
@@ -229,57 +221,50 @@ def _evaluate(
                 )
             )
         return _dur_filter(out, node.dur)
-    index = indexes[stage_of[id(node)]]
     return _dur_filter(
-        _primitive_matches(node, index, node_tau, tps), node.dur
+        _primitive_matches(node, leaves[id(node)], indexes, node_tau, tps),
+        node.dur,
     )
 
 
 def compile_pattern(order: int, spec: Any, tps: TemporalPointSet, registry: Any = None):
     """Lower ``spec.pattern`` to a staged :class:`QueryPlan`.
 
-    Every primitive leaf resolves through the backend registry exactly
-    as its legacy kind would; distinct leaves that resolve to the same
-    :class:`IndexKey` share one stage.  Validation failures (a leaf the
-    registry rejects, e.g. ``exact=True`` off the ℓ∞ metric) surface as
+    Every primitive leaf is planned by
+    :func:`~repro.engine.planner.plan_query` exactly as its legacy kind
+    would be; distinct leaves whose plans share an :class:`IndexKey`
+    share one stage.  Validation failures (a leaf the registry rejects,
+    e.g. ``exact=True`` off the ℓ∞ metric) surface as
     :class:`~repro.errors.ValidationError` at plan time.
     """
-    from ..backends.registry import default_registry
     from ..engine.cache import IndexKey
-    from ..engine.planner import PlanStage, QueryPlan
+    from ..engine.planner import PlanStage, QueryPlan, plan_query
 
     root: PatternNode = spec.pattern
     if root is None:
         raise ValidationError("pattern-dsl queries require a pattern payload")
-    reg = registry if registry is not None else default_registry()
 
     stages: List[PlanStage] = []
     stage_by_key: Dict[Any, str] = {}
-    stage_of: Dict[int, str] = {}
+    leaves: Dict[int, _Leaf] = {}
 
     def lower(node: PatternNode) -> None:
         if isinstance(node, (SeqNode, AllNode)):
             for part in node.parts:
                 lower(part)
             return
-        leaf = _leaf_spec(node, spec)
-        descriptor = reg.resolve(leaf, tps).descriptor
-        key = descriptor.index_identity(leaf, tps.fingerprint())
-        name = stage_by_key.get(key)
+        plan = plan_query(order, _leaf_spec(node, spec), tps, registry)
+        name = stage_by_key.get(plan.key)
         if name is None:
             name = f"s{len(stages)}"
-            stage_by_key[key] = name
-            stages.append(
-                PlanStage(
-                    name=name, key=key, builder=descriptor.make_builder(leaf, tps)
-                )
-            )
-        stage_of[id(node)] = name
+            stage_by_key[plan.key] = name
+            stages.append(PlanStage(name=name, key=plan.key, builder=plan.builder))
+        leaves[id(node)] = (name, plan.runner)
 
     lower(root)
 
     def runner(indexes: Mapping[str, Any], tau: float) -> List[Any]:
-        matches = _evaluate(root, stage_of, indexes, tau, tps)
+        matches = _evaluate(root, leaves, indexes, tau, tps)
         return [m.record for m in matches]
 
     def builder() -> Any:
@@ -294,6 +279,5 @@ def compile_pattern(order: int, spec: Any, tps: TemporalPointSet, registry: Any 
         key=IndexKey("pattern-dsl", tps.fingerprint(), spec.epsilon, "dsl", ()),
         builder=builder,
         runner=runner,
-        template="pattern-dsl",
         stages=tuple(stages),
     )

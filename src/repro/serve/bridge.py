@@ -233,13 +233,13 @@ def _release_callback(
                 cache_hit=result.cache_hit,
                 build_seconds=result.build_seconds,
                 query_seconds=result.query_seconds,
-                template=plan.template or plan.spec.kind,
+                template=plan.spec.kind,
             )
         else:
             shard.record_result(
                 False,
                 backend=plan.key.backend,
-                template=plan.template or plan.spec.kind,
+                template=plan.spec.kind,
             )
 
     return _done

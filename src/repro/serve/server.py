@@ -1010,7 +1010,7 @@ class ServeApp(AsyncApp):
         if plan_span is not None:
             plan_span.finish()
         if root is not None and plans:
-            root.set_attr("template", plans[0].template or plans[0].spec.kind)
+            root.set_attr("template", plans[0].spec.kind)
         if tenant is not None:
             # Quota before admission: a breach must not consume queue
             # slots.  check_and_consume only commits on success, so a

@@ -333,31 +333,39 @@ class TestShardAppend:
     def test_small_append_maintains_triangles_invalidates_rest(self):
         # The acceptance assertion: after an append, the maintainable
         # families (triangles and SUM pairs over the vector backend)
-        # still hit the cache while families that cannot extend (UNION
-        # pairs over the cover tree) rebuild — exactly once — on their
-        # next use.
+        # still hit the cache while every cover-tree family — the cover
+        # tree cannot extend — rebuilds exactly once on its next use.
         shard = DatasetShard("d", random_tps(n=40))
         specs = [
             QuerySpec(kind="triangles", taus=2.0, backend="vector"),
             QuerySpec(kind="pairs-sum", taus=2.0, backend="vector"),
             QuerySpec(kind="pairs-union", taus=2.0, kappa=4, backend="cover-tree"),
+            QuerySpec(kind="triangles", taus=2.0, backend="cover-tree"),
+            QuerySpec(kind="pairs-sum", taus=2.0, backend="cover-tree"),
         ]
         try:
             self._warm(shard, specs)
-            assert shard.cache.stats.builds == 3
+            assert shard.cache.stats.builds == 5
             report = shard.append_events(
                 '{"point": [0.5, 0.5], "start": 0.0, "end": 4.0}'
             )
             assert report["maintained_families"] == ["pairs-sum", "triangles"]
-            assert report["invalidated_families"] == ["pairs-union"]
+            assert report["invalidated_families"] == [
+                "pairs-sum", "pairs-union", "triangles",
+            ]
             before = shard.cache.stats.snapshot()
             results = self._warm(shard, specs)
             after = shard.cache.stats.since(before)
-            # Triangles and SUM pairs hit their migrated entries;
-            # UNION pairs paid one build.
-            assert results[0].cache_hit and results[1].cache_hit
-            assert not results[2].cache_hit
-            assert after.hits == 2 and after.builds == 1
+            # Vector triangles and SUM pairs hit their migrated entries;
+            # each cover-tree family paid one build.
+            assert [r.cache_hit for r in results] == [
+                True, True, False, False, False,
+            ]
+            assert after.hits == 2 and after.builds == 3
+            # Exactly once: the rebuilt entries serve the next round.
+            before = shard.cache.stats.snapshot()
+            assert all(r.cache_hit for r in self._warm(shard, specs))
+            assert shard.cache.stats.since(before).builds == 0
         finally:
             shard.close()
 
@@ -515,67 +523,6 @@ class TestAppendQueryIdentity:
             appended.close()
             fresh.close()
 
-    def test_maintained_index_chain_matches_fresh(self):
-        # Deterministic anchor: three successive appends, each epoch's
-        # triangle answers checked against a cold build — the grid-cell
-        # extension path of the object-graph solver must stay identical
-        # arbitrarily deep.
-        from repro.core.triangles import DurableTriangleIndex
-
-        full = random_tps(n=48, seed=3)
-        idx = DurableTriangleIndex(_prefix(full, 24), 0.5, backend="vector")
-        current = idx.tps
-        for hi in (32, 40, 48):
-            current = current.with_events(
-                full.points[current.n: hi],
-                full.starts[current.n: hi],
-                full.ends[current.n: hi],
-            )
-            idx = idx.maintained(current)
-            assert idx is not None
-            cold = DurableTriangleIndex(current, 0.5, backend="vector")
-            for tau in (1.0, 2.0, 4.0):
-                assert _sorted_keys(idx.query(tau)) == _sorted_keys(
-                    cold.query(tau)
-                )
-                assert idx.count(tau) == cold.count(tau)
-
-    def test_cover_tree_cannot_extend_and_says_so(self):
-        from repro.core.triangles import DurableTriangleIndex
-
-        full = random_tps(n=20, seed=5)
-        idx = DurableTriangleIndex(_prefix(full, 10), 0.5, backend="cover-tree")
-        merged = idx.tps.with_events(
-            full.points[10:], full.starts[10:], full.ends[10:]
-        )
-        assert idx.maintained(merged) is None
-
-    def test_sum_pair_maintained_chain_matches_fresh(self):
-        # Same contract for the SUM pair family: successive appends
-        # through `maintained` must answer identically (membership AND
-        # witness scores) to a cold build at every epoch.
-        from repro.core.aggregate import SumPairIndex
-
-        full = random_tps(n=48, seed=7)
-        idx = SumPairIndex(_prefix(full, 24), 0.5, backend="vector")
-        current = idx.tps
-        for hi in (32, 40, 48):
-            current = current.with_events(
-                full.points[current.n: hi],
-                full.starts[current.n: hi],
-                full.ends[current.n: hi],
-            )
-            idx = idx.maintained(current)
-            assert idx is not None
-            cold = SumPairIndex(current, 0.5, backend="vector")
-            for tau in (0.5, 1.0, 2.0):
-                hot = sorted((r.key, r.score) for r in idx.query(tau))
-                ref = sorted((r.key, r.score) for r in cold.query(tau))
-                assert [k for k, _ in hot] == [k for k, _ in ref]
-                assert [s for _, s in hot] == pytest.approx(
-                    [s for _, s in ref]
-                )
-
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(24, 48))
     def test_vector_maintained_chain_matches_fresh(self, seed, n):
@@ -621,16 +568,6 @@ class TestAppendQueryIdentity:
                 assert answer[fam](hot[fam]) == answer[fam](
                     make(current)
                 ), fam
-
-    def test_sum_pair_cover_tree_cannot_extend(self):
-        from repro.core.aggregate import SumPairIndex
-
-        full = random_tps(n=20, seed=9)
-        idx = SumPairIndex(_prefix(full, 10), 0.5, backend="cover-tree")
-        merged = idx.tps.with_events(
-            full.points[10:], full.starts[10:], full.ends[10:]
-        )
-        assert idx.maintained(merged) is None
 
 
 # ----------------------------------------------------------------------

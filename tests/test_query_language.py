@@ -231,28 +231,33 @@ class TestDslLegacyEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(tps=lattice_tps(), tau=st.sampled_from([1.0, 2.0, 3.0]))
     def test_primitive_roots_match_native_kinds(self, tps, tau):
-        engine = QueryEngine()
-        for kwargs, text in LEGACY_AS_DSL:
-            native = engine.run(
-                tps,
-                QuerySpec(
-                    taus=tau, epsilon=PARITY_EPS, backend="vector", **kwargs
-                ),
-            )
-            dsl = engine.run(
-                tps,
-                QuerySpec(
-                    kind="pattern-dsl", taus=tau, epsilon=PARITY_EPS,
-                    backend="vector", pattern=text,
-                ),
-            )
-            assert sorted(r.key for r in dsl.records) == sorted(
-                r.key for r in native.records
-            ), (kwargs, tau)
-            # The DSL stage resolved to the index the native query
-            # already built: shared through the cache, never rebuilt.
-            assert dsl.cache_hit and dsl.stages
-            assert dsl.stages[0]["cache_hit"] is True
+        # ``auto`` on the ℓ∞ lattices resolves the triangle leaf to
+        # linf-exact, as it does the native kind.
+        for backend in ("vector", "cover-tree", "auto"):
+            engine = QueryEngine()
+            for kwargs, text in LEGACY_AS_DSL:
+                native = engine.run(
+                    tps,
+                    QuerySpec(
+                        taus=tau, epsilon=PARITY_EPS, backend=backend, **kwargs
+                    ),
+                )
+                dsl = engine.run(
+                    tps,
+                    QuerySpec(
+                        kind="pattern-dsl", taus=tau, epsilon=PARITY_EPS,
+                        backend=backend, pattern=text,
+                    ),
+                )
+                # One runner serves both: same records, same order.
+                assert [r.key for r in dsl.records] == [
+                    r.key for r in native.records
+                ], (backend, kwargs, tau)
+                # The DSL stage resolved to the index the native query
+                # already built: shared through the cache, never rebuilt.
+                assert dsl.cache_hit and dsl.stages
+                assert dsl.stages[0]["cache_hit"] is True
+                assert dsl.stages[0]["backend"] == native.key.backend
 
 
 # ----------------------------------------------------------------------
